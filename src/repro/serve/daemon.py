@@ -28,7 +28,8 @@ method    path                          meaning
 ========  ============================  =======================================
 POST      /v1/plans                     submit ``{"plan": ..., "tenant": ...,
                                         "priority": ...}`` → 202 + job id;
-                                        429 + Retry-After when the queue is full
+                                        429 + Retry-After when the queue is full;
+                                        413 for a body over MAX_REQUEST_BYTES
 GET       /v1/plans                     list jobs (most recent first)
 GET       /v1/plans/<id>                job status (state, progress, stats,
                                         structured errors)
@@ -64,6 +65,10 @@ from repro.serve.queue import (
     WorkItem,
     priority_weight,
 )
+
+#: Largest request body the daemon reads, in bytes. A longer declared
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
 #: Job states; ``done``/``failed``/``cancelled`` are terminal.
 JOB_STATES = ("queued", "compiling", "running", "done", "failed",
@@ -448,6 +453,10 @@ class PlanService:
 _JOB_PATH = re.compile(r"^/v1/plans/([\w-]+)(?:/(events|result))?$")
 
 
+class _PayloadTooLarge(ServeError):
+    """A request body over :data:`MAX_REQUEST_BYTES` (HTTP 413)."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the owning server's PlanService."""
 
@@ -476,14 +485,35 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body as a JSON object.
+
+        Raises :class:`ServeError` (400) for a malformed
+        ``Content-Length`` or a body that is not a JSON object, and
+        :class:`_PayloadTooLarge` (413) for a body declared longer than
+        :data:`MAX_REQUEST_BYTES`.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            raise ServeError("Content-Length %r is not an integer" % declared) from None
+        if length < 0:
+            raise ServeError("Content-Length %d is negative" % length)
+        if length > MAX_REQUEST_BYTES:
+            raise _PayloadTooLarge(
+                "request body of %d bytes exceeds the %d-byte limit"
+                % (length, MAX_REQUEST_BYTES)
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServeError("empty request body")
         try:
-            return json.loads(raw.decode("utf-8"))
+            body = json.loads(raw.decode("utf-8"))
         except ValueError:
             raise ServeError("request body is not valid JSON") from None
+        if not isinstance(body, dict):
+            raise ServeError("request body must be a JSON object")
+        return body
 
     def _query(self):
         if "?" not in self.path:
@@ -520,6 +550,8 @@ class _Handler(BaseHTTPRequestHandler):
                 headers=(("Retry-After",
                           str(max(1, int(error.retry_after)))),),
             )
+        except _PayloadTooLarge as error:
+            self._send_json(413, {"error": str(error)})
         except ReproError as error:
             self._send_json(400, {"error": str(error)})
         else:

@@ -1,7 +1,8 @@
 """Tests for the content-addressed model-cone cache and its wiring.
 
 Covers the canonical µDD fingerprint (id-allocation invariance), the
-LRU behaviour of :class:`ModelConeCache`, the :class:`CounterPoint`
+pinned :meth:`ModelCone.fingerprint` of paper models, the LRU behaviour
+of :class:`ModelConeCache`, the :class:`CounterPoint`
 cache knob, signature multiplicity bookkeeping, and the batched
 feasibility entry point on simulated traces.
 """
@@ -11,6 +12,16 @@ import pytest
 from repro.cone import ModelCone, ModelConeCache, get_model_cone, mudd_fingerprint
 from repro.cone.cache import default_cache
 from repro.errors import AnalysisError
+from repro.models import (
+    A_SERIES,
+    ALL_COUNTERS,
+    M_SERIES,
+    T_SERIES,
+    build_abort_mudd,
+    build_haswell_mudd,
+    build_trigger_mudd,
+    load_bundled_model,
+)
 from repro.mudd import (
     Do,
     Incr,
@@ -92,6 +103,41 @@ class TestFingerprint:
     def test_rejects_non_mudd(self):
         with pytest.raises(AnalysisError):
             mudd_fingerprint("not a mudd")
+
+
+# ModelCone.fingerprint() of paper models. The fingerprint hashes the
+# signature list in order and keys the verdict store and both cone caches,
+# so a change to signature order or content must fail here rather than
+# silently orphan every warm store.
+PINNED_CONE_FINGERPRINTS = {
+    "m0": "a591190f76647e701dc645a62224e1d983d12e638a5f9eeee95a82f1d2afb032",
+    "m4": "a297488a98a42ae9fad091cf898565c31affc53771bde6e0ad9b055d042ce2fc",
+    "m4+t8": "5972b38b49ed18c41b4f1499cfca92b7fb5cddeb81bddd8aac1f2d23443dbcca",
+    "a0": "6f3e18a572f3e0a0beb85429274a395cbe6b5a0fe1b2fbac21629222d31fd1fa",
+    "pde_refined": "31f8b073779eb4ad199d44e113e452e83a4c76b0216e79548a7066123c7e8f1c",
+}
+
+
+def _pinned_cone(name):
+    if name == "m4+t8":
+        return ModelCone.from_mudd(
+            build_trigger_mudd(T_SERIES["t8"]), counters=ALL_COUNTERS
+        )
+    if name in A_SERIES:
+        return ModelCone.from_mudd(
+            build_abort_mudd(A_SERIES[name]), counters=ALL_COUNTERS
+        )
+    if name in M_SERIES:
+        return ModelCone.from_mudd(
+            build_haswell_mudd(M_SERIES[name]), counters=ALL_COUNTERS
+        )
+    return ModelCone.from_mudd(load_bundled_model(name))
+
+
+class TestPinnedFingerprints:
+    @pytest.mark.parametrize("name", sorted(PINNED_CONE_FINGERPRINTS))
+    def test_cone_fingerprint_is_pinned(self, name):
+        assert _pinned_cone(name).fingerprint() == PINNED_CONE_FINGERPRINTS[name]
 
 
 class TestModelConeCache:
@@ -194,13 +240,6 @@ class TestSignatureMultiplicity:
             mudd, with_multiplicity=True
         )
         assert sorted(zip(signatures, multiplicities)) == [((0,), 2), ((1,), 2)]
-
-    def test_no_dedup_gives_unit_multiplicity(self):
-        mudd = build_pde()
-        counters, signatures, multiplicities = signature_matrix(
-            mudd, deduplicate=False, with_multiplicity=True
-        )
-        assert multiplicities == [1] * len(signatures)
 
     def test_model_cone_records_multiplicities(self):
         cone = ModelCone.from_mudd(build_pde())

@@ -323,10 +323,21 @@ class TestSignatureMatrix:
         assert all(sig[1] == 0 for sig in signatures)
 
     def test_deduplication(self):
-        # Two paths share a signature; deduplicate merges them.
+        # Two paths share a signature; signature_matrix merges them.
         program = Switch("P", {"A": Do("e1"), "B": Do("e2"), "C": Incr("c")})
         mudd = compile_program(program)
         _, deduped = signature_matrix(mudd, counters=["c"])
-        _, full = signature_matrix(mudd, counters=["c"], deduplicate=False)
-        assert len(full) == 3
+        assert len(enumerate_mupaths(mudd)) == 3
         assert sorted(deduped) == [(0,), (1,)]
+
+    def test_rejects_non_mudd(self):
+        with pytest.raises(MuDDError, match="signature_matrix expects a MuDD"):
+            signature_matrix("nope", ["a"])
+        with pytest.raises(MuDDError, match="signature_matrix expects a MuDD"):
+            signature_matrix("nope")
+
+    def test_max_paths_guard(self):
+        mudd = compile_program(pde_cache_program())
+        with pytest.raises(MuDDError, match="more than 1 µpaths"):
+            signature_matrix(mudd, ["load.causes_walk"], max_paths=1)
+        assert len(signature_matrix(mudd, max_paths=2)[1]) == 2

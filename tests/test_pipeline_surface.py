@@ -19,7 +19,6 @@ from repro.errors import (
     StatsError,
 )
 from repro.mmu import MMUSimulator, MemoryOp
-from repro.mudd.paths import iter_signatures
 
 PDE_MODEL = """
 incr load.causes_walk;
@@ -50,26 +49,6 @@ class TestErrorHierarchy:
         error = DSLSyntaxError("bad", line=3, column=7)
         assert "line 3" in str(error)
         assert "column 7" in str(error)
-
-
-class TestIterSignatures:
-    def test_matches_signature_matrix(self):
-        mudd = compile_dsl(PDE_MODEL)
-        counters = ["load.causes_walk", "load.pde$_miss"]
-        direct = sorted(iter_signatures(mudd, counters))
-        from repro.mudd import signature_matrix
-
-        _, deduped = signature_matrix(mudd, counters=counters)
-        assert sorted(set(direct)) == sorted(deduped)
-
-    def test_rejects_non_mudd(self):
-        with pytest.raises(MuDDError):
-            list(iter_signatures("nope", ["a"]))
-
-    def test_max_paths_guard(self):
-        mudd = compile_dsl(PDE_MODEL)
-        with pytest.raises(MuDDError):
-            list(iter_signatures(mudd, ["load.causes_walk"], max_paths=1))
 
 
 class TestIntervalSchedules:

@@ -18,7 +18,7 @@ sockets:
   :class:`~repro.errors.QueueFullError` / HTTP 429 + Retry-After.
 """
 
-import json
+import socket
 import threading
 import time
 
@@ -37,6 +37,7 @@ from repro.serve import (
     ServeDaemon,
     priority_weight,
 )
+from repro.serve.daemon import MAX_REQUEST_BYTES
 from repro.serve.queue import WorkItem
 
 
@@ -393,6 +394,19 @@ class TestPlanService:
             svc.submit(overlap_plan())
 
 
+def raw_post(daemon, content_length, body):
+    """POST ``body`` to /v1/plans over a bare socket with the given
+    Content-Length header; returns the response status code."""
+    request = (
+        "POST /v1/plans HTTP/1.1\r\nHost: %s\r\nContent-Length: %s\r\n\r\n"
+        % (daemon.host, content_length)
+    ).encode("ascii") + body
+    with socket.create_connection((daemon.host, daemon.port), timeout=10) as sock:
+        sock.sendall(request)
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
 @pytest.fixture()
 def daemon():
     with ServeDaemon(port=0, workers=2, max_queue=8,
@@ -491,6 +505,12 @@ class TestHttpDaemon:
         assert status == 400
         status, _, _ = client._request("GET", "/v1/nonsense")
         assert status == 404
+        # Malformed bodies, sent raw so no client library tidies them up.
+        assert raw_post(daemon, "abc", b"") == 400
+        assert raw_post(daemon, "-5", b"") == 400  # must not wait for EOF
+        assert raw_post(daemon, "2", b"[]") == 400
+        assert raw_post(daemon, "6", b'"plan"') == 400
+        assert raw_post(daemon, str(MAX_REQUEST_BYTES + 1), b"") == 413
         assert client.healthy()  # daemon still alive after all of that
 
     def test_stats_document_shape(self, daemon):

@@ -3,8 +3,9 @@
 Two claims are benchmarked:
 
 * **Near-linear cross_refute scaling.** The closed-loop matrix over the
-  bundled model library shards across the pool (by row, and within
-  rows by candidate chunk when the matrix is small); with enough
+  bundled model library shards across the pool through the plan
+  engine's pool scheduler (row simulations by run index, pending
+  verdict cells by chunk); with enough
   cores, ``workers=4`` should cut wall-clock by >= 2.5x versus
   ``workers=1``. The speedup assertion arms only on hosts with >= 6
   CPUs: 4 workers need 4 genuinely free cores plus the parent — on a

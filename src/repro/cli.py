@@ -240,19 +240,14 @@ def cmd_case_study(arguments):
         workers=arguments.workers,
         cache_dir=arguments.cache_dir or None,
     ) as counterpoint:
-        sweeps = {}
-        for name in names:
-            sweep = counterpoint.sweep(
+        comparison = CompareResult([
+            counterpoint.sweep(
                 build_model_cone(M_SERIES[name], name=name),
                 observations,
                 explain=arguments.json,
             )
-            # The process-wide cone memo keys by feature set only, so a
-            # cone built earlier in this process may carry another
-            # name; key the comparison by the m-series name regardless.
-            sweep.model_name = name
-            sweeps[name] = sweep
-        comparison = CompareResult(sweeps)
+            for name in names
+        ])
     if arguments.json:
         print(comparison.to_json(indent=2))
         return 0

@@ -341,8 +341,11 @@ _CONE_CACHE = {}
 
 def build_model_cone(features, trigger=None, aborts=(), name=None):
     """Build (and memoise) the :class:`ModelCone` of a Haswell µDD over
-    the full 26-counter space."""
+    the full 26-counter space. A ``name`` is part of the memo key, so a
+    named call never returns a cone built earlier under another name."""
     key = (frozenset(features), trigger, tuple(sorted(aborts)))
+    if name is not None:
+        key += (name,)
     if key not in _CONE_CACHE:
         mudd = build_mudd(features, trigger=trigger, aborts=aborts, name=name)
         _CONE_CACHE[key] = ModelCone.from_mudd(mudd, counters=ALL_COUNTERS)

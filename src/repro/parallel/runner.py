@@ -1,13 +1,11 @@
 """The process-pool core: chunked, deterministic, fallback-safe maps.
 
-:class:`ParallelRunner` deliberately exposes only order-preserving map
-operations — ``map_cells`` (one function over many work items) and
-``map_models`` (a convenience alias with the same contract) — because
-every CounterPoint workload that shards is a matrix of independent
-cells. Keeping the surface to "a map that cannot change results" is
-what makes ``workers=N`` safe to default on everywhere: the serial path
-and the pooled path are the same function applied to the same cells in
-the same order.
+:class:`ParallelRunner` deliberately exposes one order-preserving map,
+``map_cells``, because every CounterPoint workload that shards is a
+matrix of independent cells. Keeping the surface to "a map that cannot
+change results" is what makes ``workers=N`` safe to default on
+everywhere: the serial path and the pooled path are the same function
+applied to the same cells in the same order.
 
 The pool itself is persistent: the first pooled ``map_cells`` spawns
 the workers and later calls reuse them, so a pipeline that sweeps
@@ -72,26 +70,14 @@ class ParallelRunner:
     workers:
         Pool size; ``None`` means ``os.cpu_count()``. ``1`` disables
         the pool entirely (pure serial execution, nothing pickled).
-    cache_dir:
-        Persistent cone-cache directory handed to workers that build
-        model cones, so deduction work is shared instead of repeated
-        per worker (see :mod:`repro.cone.diskcache`).
-    chunk_size:
-        Cells per dispatched chunk; ``None`` picks ``ceil(n_cells /
-        (4 * workers))`` — large enough to amortise IPC, small enough
-        to load-balance uneven cells.
     """
 
-    def __init__(self, workers=None, cache_dir=None, chunk_size=None):
+    def __init__(self, workers=None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise AnalysisError("workers must be at least 1, got %r" % (workers,))
-        if chunk_size is not None and chunk_size < 1:
-            raise AnalysisError("chunk_size must be at least 1")
         self.workers = int(workers)
-        self.cache_dir = None if cache_dir is None else os.fspath(cache_dir)
-        self.chunk_size = chunk_size
         self.fallbacks = 0
         self.dispatches = 0
         #: ``(reason, task_type)`` of the most recent serial fallback,
@@ -151,20 +137,16 @@ class ParallelRunner:
             )
             tracer.metrics.counter("parallel.fallbacks").inc()
 
-    def _chunk_size_for(self, n_cells, chunk_size):
-        if chunk_size is not None:
-            return chunk_size
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, -(-n_cells // (4 * self.workers)))
-
     def map_cells(self, fn, cells, chunk_size=None):
         """Apply ``fn`` to every cell, preserving order.
 
         ``fn`` must be a module-level callable for the pooled path (the
         pool pickles it by qualified name); anything else triggers the
         serial fallback, never an error. Exceptions raised by ``fn``
-        propagate to the caller in both paths.
+        propagate to the caller in both paths. ``chunk_size`` is the
+        number of cells per dispatched chunk; ``None`` picks
+        ``ceil(n_cells / (4 * workers))`` — large enough to amortise
+        IPC, small enough to load-balance uneven cells.
         """
         cells = list(cells)
         if self.workers == 1 or len(cells) <= 1:
@@ -172,10 +154,11 @@ class ParallelRunner:
         if not _picklable(fn) or not _picklable(cells[0]):
             self._note_fallback("unpicklable task", fn, len(cells))
             return [fn(cell) for cell in cells]
-        chunk = self._chunk_size_for(len(cells), chunk_size)
+        if chunk_size is None:
+            chunk_size = max(1, -(-len(cells) // (4 * self.workers)))
         self.dispatches += 1
         try:
-            return list(self._pool().map(fn, cells, chunksize=chunk))
+            return list(self._pool().map(fn, cells, chunksize=chunk_size))
         except (pickle.PicklingError, TypeError, AttributeError):
             # A later, heterogeneous cell slipped past the pre-flight
             # check (C-extension handles raise TypeError, closures
@@ -193,15 +176,9 @@ class ParallelRunner:
             self._note_fallback("broken process pool", fn, len(cells))
             return [fn(cell) for cell in cells]
 
-    def map_models(self, fn, models, chunk_size=None):
-        """Alias of :meth:`map_cells` for model-shaped work — reads
-        better at call sites that shard a model library."""
-        return self.map_cells(fn, models, chunk_size=chunk_size)
-
     def __repr__(self):
-        return "ParallelRunner(workers=%d%s, %d dispatches, %d fallbacks)" % (
+        return "ParallelRunner(workers=%d, %d dispatches, %d fallbacks)" % (
             self.workers,
-            ", cache_dir=%r" % (self.cache_dir,) if self.cache_dir else "",
             self.dispatches,
             self.fallbacks,
         )

@@ -1,29 +1,22 @@
-"""Worker functions and the high-level sharded entry points.
+"""Worker functions and the dispatchers the schedulers call.
 
 Every worker here is a module-level function of one picklable payload
 dict — the shape :class:`repro.parallel.runner.ParallelRunner` requires
-for the pooled path. Payloads carry *models and parameters*, not live
-solver state: workers that need a pipeline rebuild their own
-:class:`CounterPoint` with ``workers=1`` (workers never nest pools).
-Worker results come back as :mod:`repro.results` schema dicts, not
-pickled ad-hoc objects: the wire format between pool processes is the
-same stable JSON-serializable schema the result layer persists and
-renders.
-Workers that build model cones coordinate through the shared on-disk
-cone cache (``cache_dir``) so expensive deduction happens in exactly
-one process, and workers that test feasibility coordinate through the
-session artifact store under the same directory so memoized verdicts
-are never recomputed anywhere.
+for the pooled path. Payloads carry *cones, models and parameters*,
+not live solver state. Verdict workers send back
+:mod:`repro.results` schema dicts, not pickled ad-hoc objects: the
+wire format between pool processes is the same stable
+JSON-serializable schema the result layer persists and renders.
 
-The high-level functions (:func:`parallel_sweep`,
-:func:`parallel_cross_refute`, :func:`parallel_simulate_dataset`,
-:func:`parallel_closed_loop`) are what :class:`repro.pipeline.
-CounterPoint`'s session and :func:`repro.sim.scenarios.closed_loop`
-route to when ``workers > 1``; each is bit-for-bit equivalent to its
-serial counterpart (same seeds, same ordering, same verdicts).
+Two dispatchers serve :class:`repro.plan.schedulers.PoolScheduler`,
+the one route from a facade call or plan to the pool:
+:func:`dispatch_verdicts` shards a batch of pending verdict cells, and
+:func:`parallel_simulate_dataset` shards a dataset simulation by run
+index. :func:`run_feature_evaluation` is the unit
+:class:`repro.explore.GuidedSearch` maps over its own runner. Each
+pooled path is bit-for-bit equivalent to its serial counterpart (same
+seeds, same ordering, same verdicts).
 """
-
-from repro.parallel.runner import split_seeds
 
 
 def _worker_tracer(payload):
@@ -85,7 +78,7 @@ def _chunks(items, n_chunks):
     return out
 
 
-# -- verdict cells (sweep and session sharding) ----------------------------
+# -- verdict cells ---------------------------------------------------------
 
 def run_verdict_chunk(payload):
     """Worker: feasibility verdicts for one target chunk against a
@@ -151,143 +144,6 @@ def dispatch_verdicts(runner, cone, targets, backend="exact",
             chunk = chunk["verdicts"]
         verdicts.extend(CellVerdict.from_dict(entry) for entry in chunk)
     return verdicts
-
-
-# -- sweep -----------------------------------------------------------------
-
-def parallel_sweep(runner, cone, observations, backend="exact",
-                   confidence=0.99, use_regions=False, correlated=True,
-                   explain=False):
-    """Shard one model's dataset sweep across the pool.
-
-    The direct (session-less) entry point: every observation is turned
-    into its solvable target in the parent — points keep exact totals,
-    regions are summarised once at ``confidence`` — and the verdict
-    cells shard across the workers. One chunk per worker keeps the
-    exact facet screen's batching intact.
-    """
-    from repro.results.types import sweep_from_verdicts
-
-    observations = list(observations)
-    names = [observation.name for observation in observations]
-    if use_regions:
-        targets = [
-            observation.region(confidence=confidence, correlated=correlated)
-            for observation in observations
-        ]
-    else:
-        targets = [observation.point() for observation in observations]
-    verdicts = dispatch_verdicts(
-        runner, cone, targets, backend=backend, use_regions=use_regions,
-        explain=explain,
-    )
-    return sweep_from_verdicts(cone.name, names, verdicts)
-
-
-# -- cross_refute ----------------------------------------------------------
-
-def run_cross_refute_row(payload):
-    """Worker: one (row, candidate-subset) cell of the closed-loop
-    matrix — simulate the row's observed model, sweep the cell's
-    candidates against the dataset. Sweeps come back as ``ModelSweep``
-    schema dicts, alongside the worker's trace shipment (``None``
-    unless the dispatching parent was tracing).
-
-    The row seed is the serial schedule's ``seed + 1000 * row``, so the
-    simulated observations are identical to a serial run's regardless
-    of how the row's candidates were split across cells (every cell of
-    a row re-simulates the same dataset — simulation is cheap next to
-    the sweeps the split parallelises).
-    """
-    from repro.obs.trace import activate
-    from repro.pipeline import CounterPoint
-    from repro.sim import simulate_dataset
-
-    tracer = _worker_tracer(payload)
-    with activate(tracer):
-        observed = payload["observed"]
-        observations = simulate_dataset(
-            observed,
-            payload["n_observations"],
-            n_uops=payload["n_uops"],
-            weights=payload["weights"],
-            seed=payload["row_seed"],
-        )
-        counters = observations[0].samples.counters
-        # workers=1: pool workers never nest pools.
-        with CounterPoint(
-            backend=payload["backend"],
-            confidence=payload["confidence"],
-            cache_dir=payload["cache_dir"],
-            workers=1,
-        ) as counterpoint:
-            sweeps = {}
-            for candidate in payload["candidates"]:
-                cone = counterpoint.model_cone(candidate, counters=counters)
-                sweep = counterpoint.sweep(
-                    cone, observations, explain=payload["explain"]
-                )
-                sweeps[candidate.name] = sweep.to_dict()
-    return observed.name, sweeps, _obs_shipment(tracer)
-
-
-def parallel_cross_refute(runner, mudds, n_observations=3, n_uops=20000,
-                          weights=None, seed=0, backend="exact",
-                          confidence=0.99, explain=False):
-    """Shard the cross-refutation matrix across the pool.
-
-    The base unit is a row (observed model): rows are fully
-    independent, and candidate cones *and memoized verdicts* are shared
-    between rows through the runner's ``cache_dir`` when set. When the
-    matrix has fewer rows than would keep the pool busy (``rows < 2 *
-    workers``), each row's candidate list is additionally split so
-    every worker gets work — the merged result is identical either way.
-    Returns a :class:`~repro.results.types.RefutationMatrix`.
-    """
-    from repro.results.types import ModelSweep, RefutationMatrix
-
-    mudds = list(mudds)
-    row_seeds = split_seeds(seed, len(mudds), stride=1000)
-    # ceil(2*workers / rows) candidate chunks per row keeps ~2 cells
-    # per worker in flight for load balancing on uneven rows.
-    n_splits = max(1, -(-2 * runner.workers // max(1, len(mudds))))
-    candidate_chunks = _chunks(mudds, n_splits)
-    tracing = _tracing()
-    cells = [
-        {
-            "observed": observed,
-            "candidates": chunk,
-            "n_observations": n_observations,
-            "n_uops": n_uops,
-            "weights": weights,
-            "row_seed": row_seed,
-            "backend": backend,
-            "confidence": confidence,
-            "cache_dir": runner.cache_dir,
-            "explain": explain,
-            "trace": tracing,
-        }
-        for observed, row_seed in zip(mudds, row_seeds)
-        for chunk in candidate_chunks
-    ]
-    rows = {}
-    for name, sweeps, obs in runner.map_cells(
-        run_cross_refute_row, cells, chunk_size=1
-    ):
-        _absorb_obs(obs)
-        rows.setdefault(name, {}).update({
-            candidate: ModelSweep.from_dict(entry)
-            for candidate, entry in sweeps.items()
-        })
-    # Rebuild candidate order (schema order is the model order).
-    ordered = {
-        observed.name: {
-            candidate.name: rows[observed.name][candidate.name]
-            for candidate in mudds
-        }
-        for observed in mudds
-    }
-    return RefutationMatrix(ordered)
 
 
 # -- simulated datasets ----------------------------------------------------
@@ -357,63 +213,6 @@ def parallel_simulate_dataset(runner, model, n_observations, n_uops=20000,
     return tuple(observations)
 
 
-# -- closed loop -----------------------------------------------------------
-
-def run_closed_loop_candidate(payload):
-    """Worker: analyse the shared simulated target against one
-    candidate model (cone served from the disk cache when present);
-    ships the report back as an ``AnalysisReport`` schema dict."""
-    from repro.pipeline import CounterPoint
-    from repro.sim.scenarios import as_mudd
-
-    with CounterPoint(
-        backend=payload["backend"],
-        confidence=payload["confidence"],
-        cache_dir=payload["cache_dir"],
-        workers=1,
-    ) as counterpoint:
-        cone = counterpoint.model_cone(
-            as_mudd(payload["candidate"]), counters=payload["counters"]
-        )
-        report = counterpoint.analyze(cone, payload["target"])
-    return report.to_dict()
-
-
-def parallel_closed_loop(runner, observation, candidate_models,
-                         backend="exact", confidence=0.99,
-                         use_regions=False):
-    """Shard :func:`repro.sim.scenarios.closed_loop`'s candidate loop.
-
-    The observation is simulated once by the caller; each worker tests
-    it against one candidate. Returns ``{candidate_name:
-    AnalysisReport}`` in candidate order, like the serial loop.
-    """
-    from repro.results.types import AnalysisReport
-
-    counters = observation.samples.counters
-    target = (
-        observation.region(confidence=confidence)
-        if use_regions
-        else observation.point()
-    )
-    cells = [
-        {
-            "candidate": candidate,
-            "counters": counters,
-            "target": target,
-            "backend": backend,
-            "confidence": confidence,
-            "cache_dir": runner.cache_dir,
-        }
-        for candidate in candidate_models
-    ]
-    reports = {}
-    for entry in runner.map_cells(run_closed_loop_candidate, cells):
-        report = AnalysisReport.from_dict(entry)
-        reports[report.model_name] = report
-    return reports
-
-
 # -- guided search ---------------------------------------------------------
 
 def run_feature_evaluation(payload):
@@ -434,12 +233,7 @@ def run_feature_evaluation(payload):
 
 __all__ = [
     "dispatch_verdicts",
-    "parallel_closed_loop",
-    "parallel_cross_refute",
     "parallel_simulate_dataset",
-    "parallel_sweep",
-    "run_closed_loop_candidate",
-    "run_cross_refute_row",
     "run_feature_evaluation",
     "run_simulate_chunk",
     "run_verdict_chunk",

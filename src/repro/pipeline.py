@@ -55,8 +55,10 @@ class CounterPoint:
         :class:`~repro.cone.cache.ModelConeCache` may also be passed to
         share one cache between pipelines.
     workers:
-        Process-pool size for the sharded workloads (:meth:`sweep`,
-        :meth:`cross_refute`, :meth:`simulate_dataset`); ``1`` (the
+        Process-pool size for everything the plan engine runs — every
+        analysis method, :meth:`simulate_dataset` and :meth:`run` —
+        through its pool scheduler
+        (:class:`~repro.plan.schedulers.PoolScheduler`); ``1`` (the
         default) keeps everything in-process, ``None`` means one worker
         per CPU. Parallel runs produce results identical to serial ones
         — same seeds, same ordering, same verdicts (see
@@ -66,8 +68,8 @@ class CounterPoint:
         (:mod:`repro.cone.diskcache`; cones and their deduced
         constraints computed once per model *ever*) and the session's
         verdict artifact store (``<cache_dir>/artifacts`` — see
-        :mod:`repro.results.store`), both shared between pool workers
-        and across runs. Requires the default ``cache=True`` (to
+        :mod:`repro.results.store`), both shared between pipelines,
+        processes and runs. Requires the default ``cache=True`` (to
         combine a custom cache with a disk tier, pass
         ``cache=ModelConeCache(disk=cache_dir)`` instead).
     sim_backend:
@@ -143,9 +145,7 @@ class CounterPoint:
         if self._runner is None:
             from repro.parallel import ParallelRunner
 
-            self._runner = ParallelRunner(
-                workers=self.workers, cache_dir=self.cache_dir
-            )
+            self._runner = ParallelRunner(workers=self.workers)
         return self._runner
 
     def session(self):
@@ -223,7 +223,8 @@ class CounterPoint:
         return False
 
     def _parallel(self):
-        """Whether sharded workloads should route to the pool."""
+        """Whether the plan engine schedules on the pool (see
+        :func:`repro.plan.schedulers.scheduler_for`)."""
         return self.workers is None or self.workers > 1
 
     # -- model ingestion ---------------------------------------------------
@@ -346,32 +347,28 @@ class CounterPoint:
         with activate(tracer_for(self)):
             return simulate_observation(model, n_uops=n_uops, **options)
 
-    def simulate_dataset(self, model, n_observations, n_uops=20000, **options):
+    def simulate_dataset(self, model, n_observations, n_uops=20000, seed=0,
+                         weights=None, noisy=False, backend=None):
         """Independent simulated observations of one model, ready for
         :meth:`sweep` / :meth:`compare`.
 
         Run ``i`` draws from seed ``seed + i``, so datasets are
         reproducible; with ``workers > 1`` the runs are sharded across
         the process pool under the same per-run seeds (identical
-        observations, faster wall-clock). Options pass through to
-        :func:`repro.sim.simulate_observation`; the pipeline's
-        ``sim_backend`` applies unless overridden with ``backend=``.
+        observations, faster wall-clock). ``backend`` picks the
+        simulation engine, defaulting to the pipeline's
+        ``sim_backend``. The call is a one-op plan over
+        :meth:`plan_engine`, so its inputs are validated like any plan
+        op's.
         """
-        from repro.obs.trace import activate, tracer_for
-        from repro.sim import simulate_dataset
+        from repro.plan import Plan
 
-        options.setdefault("backend", self.sim_backend)
-        with activate(tracer_for(self)):
-            if self._parallel() and n_observations > 1:
-                from repro.parallel import parallel_simulate_dataset
-
-                return parallel_simulate_dataset(
-                    self.runner(), model, n_observations, n_uops=n_uops,
-                    **options
-                )
-            return simulate_dataset(
-                model, n_observations, n_uops=n_uops, **options
-            )
+        plan = Plan()
+        op_id = plan.simulate_dataset(
+            model, n_observations, n_uops=n_uops, seed=seed,
+            weights=weights, noisy=noisy, sim_backend=backend,
+        )
+        return self.plan_engine().run(plan).datasets[op_id]
 
     def cross_refute(
         self, models, n_observations=3, n_uops=20000, weights=None, seed=0,

@@ -378,6 +378,15 @@ def compile_plan(plan, pipeline):
             from repro.sim import as_mudd
 
             mudds = [as_mudd(model) for model in op.params["models"]]
+            names = [mudd.name for mudd in mudds]
+            if len(set(names)) != len(names):
+                # The matrix is keyed by model name: a repeated name
+                # (every DSL source is named "model") would silently
+                # overwrite a row and a column.
+                raise AnalysisError(
+                    "plan op %r: duplicate model names in cross_refute: %s"
+                    % (op_id, ", ".join(names))
+                )
             row_seeds = split_seeds(
                 op.params["seed"], len(mudds), stride=1000
             )

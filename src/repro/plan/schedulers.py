@@ -7,10 +7,10 @@ can never change results, only wall-clock:
 * :class:`SerialScheduler` — everything in-process, no pool, nothing
   pickled. The reference semantics.
 * :class:`PoolScheduler` — simulation tasks shard by run index and
-  verdict batches shard by cell chunk across a
-  :class:`~repro.parallel.ParallelRunner` process pool, reusing the
-  exact entry points the facade's ``workers=N`` path has always used
-  (pooled results are bit-for-bit equal to serial ones).
+  verdict batches shard by cell chunk across the pipeline's
+  :class:`~repro.parallel.ParallelRunner` process pool. It is the only
+  route from a facade call or plan to the pool, and its results are
+  bit-for-bit equal to serial ones.
 * :class:`~repro.serve.queue.QueueScheduler` — the serve daemon's
   strategy: every batch becomes a work item on one shared weighted-
   fair queue (per-tenant virtual-time clocks, priority classes,
@@ -77,21 +77,10 @@ class SerialScheduler:
 
 
 class PoolScheduler(SerialScheduler):
-    """Shard simulations and verdict batches across a process pool.
-
-    Parameters
-    ----------
-    runner:
-        The :class:`~repro.parallel.ParallelRunner` to dispatch on;
-        ``None`` uses the pipeline's own (so the pool is shared with
-        every other sharded workload and reaped by ``close()``).
-    """
-
-    def __init__(self, runner=None):
-        self.runner = runner
-
-    def _runner(self, pipeline):
-        return self.runner if self.runner is not None else pipeline.runner()
+    """Shard simulations and verdict batches across the pipeline's
+    process pool (:meth:`repro.pipeline.CounterPoint.runner`), so the
+    pool is shared by every plan on that pipeline and reaped by its
+    ``close()``."""
 
     def simulate(self, pipeline, task):
         from repro.parallel import parallel_simulate_dataset
@@ -102,7 +91,7 @@ class PoolScheduler(SerialScheduler):
             runs=task.n_observations, backend=backend,
         ):
             return parallel_simulate_dataset(
-                self._runner(pipeline),
+                pipeline.runner(),
                 task.model,
                 task.n_observations,
                 n_uops=task.n_uops,
@@ -117,8 +106,8 @@ class PoolScheduler(SerialScheduler):
             return SerialScheduler.compute(
                 self, session, cone, targets, use_regions, explain
             )
-        # Imported at call time, like the session's own parallel path,
-        # so tests patching the module attribute see every dispatch.
+        # Imported at call time so tests patching the module attribute
+        # see every dispatch.
         from repro.parallel.tasks import dispatch_verdicts
 
         pipeline = session.pipeline
@@ -126,7 +115,7 @@ class PoolScheduler(SerialScheduler):
             "sched.compute", scheduler="pool", cells=len(targets)
         ):
             return dispatch_verdicts(
-                self._runner(pipeline),
+                pipeline.runner(),
                 cone,
                 targets,
                 backend=pipeline.backend,
@@ -135,7 +124,7 @@ class PoolScheduler(SerialScheduler):
             )
 
     def __repr__(self):
-        return "PoolScheduler(%r)" % (self.runner,)
+        return "PoolScheduler()"
 
 
 def scheduler_for(pipeline):

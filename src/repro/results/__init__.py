@@ -1,8 +1,8 @@
 """The unified result layer: typed, serializable pipeline outputs.
 
 Every analysis entry point — ``CounterPoint.analyze`` / ``sweep`` /
-``compare`` / ``cross_refute``, the parallel entry points, and the
-guided exploration — returns (or is convertible to) a result object
+``compare`` / ``cross_refute``, the plan engine, and the guided
+exploration — returns (or is convertible to) a result object
 from this package. All of them share one contract:
 
 * ``to_dict()`` produces a stable, JSON-serializable schema (stamped

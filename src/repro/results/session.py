@@ -16,12 +16,17 @@ cells are ever tested. The keys are pure content hashes (no model or
 run names), so renamed models and re-measured-but-identical data still
 hit.
 
-:class:`~repro.pipeline.CounterPoint` owns a session per instance and
-routes its analysis methods through it; sessions can also be built
-standalone around any pipeline. With ``workers > 1`` only the *pending*
-cells are sharded across the process pool (session-aware sharding), and
-pool workers given a ``cache_dir`` share the same artifact store, so
-incrementality survives process boundaries.
+The session holds the two memoized units the plan engine
+(:mod:`repro.plan.engine`) schedules: :meth:`AnalysisSession.sweep`
+(one model over a dataset, cell by cell) and
+:meth:`AnalysisSession.analyze` (one whole report). Every matrix-shaped
+workload — ``compare``, ``cross_refute``, whole plans — is assembled
+from them by the engine. :class:`~repro.pipeline.CounterPoint` owns a
+session per instance; sessions can also be built standalone around any
+pipeline. A session computes pending cells in-process unless its
+caller hands it a ``compute`` hook: the engine passes its scheduler's,
+which is how ``workers > 1`` shards only the *pending* cells across the
+process pool.
 """
 
 from repro.cone import (
@@ -37,13 +42,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 from repro.results.fingerprint import observation_fingerprint
 from repro.results.store import ArtifactStore, content_key
-from repro.results.types import (
-    AnalysisReport,
-    CellVerdict,
-    CompareResult,
-    RefutationMatrix,
-    sweep_from_verdicts,
-)
+from repro.results.types import AnalysisReport, CellVerdict, sweep_from_verdicts
 
 
 def _registry_counter(name):
@@ -175,7 +174,7 @@ class AnalysisSession:
         processes and runs*.
     pipeline_options:
         Passed to :class:`~repro.pipeline.CounterPoint` when
-        ``pipeline`` is ``None`` (``backend=``, ``workers=``, ...).
+        ``pipeline`` is ``None`` (``backend=``, ``confidence=``, ...).
     """
 
     def __init__(self, pipeline=None, store=None, **pipeline_options):
@@ -276,9 +275,10 @@ class AnalysisSession:
         ``compute`` overrides how the pending batch is solved — a
         callable ``(cone, targets, use_regions, explain) -> verdicts``.
         The plan engine's pluggable schedulers hook in here; the
-        default is the session's own serial-or-pool dispatch. Lookup,
-        recording, and statistics stay with the session either way, so
-        an override can change wall-clock but never memo semantics.
+        default solves in-process with :func:`compute_cell_verdicts`.
+        Lookup, recording, and statistics stay with the session either
+        way, so an override can change wall-clock but never memo
+        semantics.
         """
         pipeline = self.pipeline
         tracer = get_tracer()
@@ -351,8 +351,18 @@ class AnalysisSession:
         """
         claims = self.claims
         mine, theirs = [], []
-        for entry in pending:
-            (mine if claims.claim(entry[1]) else theirs).append(entry)
+        for index, key in pending:
+            if not claims.claim(key):
+                theirs.append((index, key))
+                continue
+            # The previous owner may have recorded this cell and released
+            # its claim between our lookup and our claim: re-read first.
+            verdict = self._lookup(key)
+            if verdict is None:
+                mine.append((index, key))
+            else:
+                claims.release(key)
+                verdicts[index] = verdict
         try:
             if mine:
                 self._compute_pending(
@@ -391,39 +401,13 @@ class AnalysisSession:
         return observation  # a mapping or ordered sequence
 
     def _compute(self, cone, targets, use_regions, explain):
-        pipeline = self.pipeline
-        if pipeline._parallel() and len(targets) > 1:
-            from repro.parallel.tasks import dispatch_verdicts
-
-            return dispatch_verdicts(
-                pipeline.runner(),
-                cone,
-                targets,
-                backend=pipeline.backend,
-                use_regions=use_regions,
-                explain=explain,
-            )
         return compute_cell_verdicts(
             cone,
             targets,
-            backend=pipeline.backend,
+            backend=self.pipeline.backend,
             use_regions=use_regions,
             explain=explain,
         )
-
-    def compare(self, models, observations, **sweep_options):
-        """Sweep several candidate models over one dataset.
-
-        The multi-model view of :meth:`sweep` — appending one model to
-        a warmed comparison tests only the new model's cells. Returns a
-        :class:`~repro.results.types.CompareResult`.
-        """
-        # A list, not a dict: CompareResult's duplicate-name guard must
-        # see every sweep (a dict would silently drop earlier ones).
-        return CompareResult([
-            self.sweep(model, observations, **sweep_options)
-            for model in models
-        ])
 
     # -- single-observation analysis ---------------------------------------
     def analyze(self, model, observation, explain=False):
@@ -521,59 +505,6 @@ class AnalysisSession:
         if self.store is not None:
             self.store.put("report", key, report.to_dict())
         return report
-
-    # -- the closed loop ---------------------------------------------------
-    def cross_refute(self, models, n_observations=3, n_uops=20000,
-                     weights=None, seed=0, explain=False):
-        """The closed-loop matrix: simulate each model, sweep all models.
-
-        Returns a :class:`~repro.results.types.RefutationMatrix`. On
-        the serial path cells are memoized individually in this
-        session, so re-running with one model appended re-tests only
-        the new row and column. With ``workers > 1`` the matrix shards
-        by row across the pool and the verdicts are computed (and
-        memoized) in the worker processes — incremental re-runs then
-        require a ``cache_dir`` on the pipeline, whose shared artifact
-        store plays the memo role across workers and runs; this
-        session's own memo and ``stats`` are not consulted or updated
-        by the pooled path.
-        """
-        from repro.sim import as_mudd, simulate_dataset
-
-        pipeline = self.pipeline
-        mudds = [as_mudd(model) for model in models]
-        if pipeline._parallel() and len(mudds) > 1:
-            from repro.parallel import parallel_cross_refute
-
-            return parallel_cross_refute(
-                pipeline.runner(),
-                mudds,
-                n_observations=n_observations,
-                n_uops=n_uops,
-                weights=weights,
-                seed=seed,
-                backend=pipeline.backend,
-                confidence=pipeline.confidence,
-                explain=explain,
-            )
-        rows = {}
-        for row, observed in enumerate(mudds):
-            observations = simulate_dataset(
-                observed,
-                n_observations,
-                n_uops=n_uops,
-                weights=weights,
-                seed=seed + 1000 * row,
-            )
-            counters = observations[0].samples.counters
-            sweeps = {}
-            for candidate in mudds:
-                cone = pipeline.model_cone(candidate, counters=counters)
-                sweeps[candidate.name] = self.sweep(
-                    cone, observations, explain=explain
-                )
-            rows[observed.name] = CompareResult(sweeps)
-        return RefutationMatrix(rows)
 
     def __repr__(self):
         return "AnalysisSession(%d memoized, %r%s)" % (

@@ -12,7 +12,7 @@ mechanisms get refuted (:func:`closed_loop`).
 
 from repro.counters.sampling import collect_interval_samples
 from repro.dsl import compile_dsl
-from repro.errors import SimulationError
+from repro.errors import AnalysisError, SimulationError
 from repro.mudd import MuDD
 from repro.sim.batch import batch_simulate
 from repro.sim.executor import MuDDExecutor
@@ -155,47 +155,41 @@ def trace_observation(model, oracle, workload, n_uops, n_intervals=20,
 
 def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
                 seed=0, backend="exact", use_regions=False, confidence=0.99,
-                workers=1, cache_dir=None, sim_backend="auto"):
+                cache_dir=None, sim_backend="auto"):
     """Simulate observations from one model; test every candidate.
 
     Returns ``{candidate_name: AnalysisReport}``. The observed model
     itself is always feasible (its totals lie in its own cone by
     construction — counter conservation), so including it among the
     candidates is the standard sanity row; candidates whose mechanisms
-    disagree get refuted, closing the simulate→refute loop.
+    disagree get refuted, closing the simulate→refute loop. Candidates
+    must have distinct names (DSL sources are all named ``model``), or
+    one report would hide another; duplicates raise
+    :class:`~repro.errors.AnalysisError` before anything is simulated.
 
     Candidate cones come from the process-wide content-addressed cache
     (:func:`repro.cone.cache.get_model_cone`) — with ``cache_dir`` from
     its persistent on-disk tier, so repeated closed-loop runs skip
     µpath enumeration (and constraint deduction, once a candidate has
-    ever been refuted) even across processes and CI runs. With
-    ``workers > 1`` the candidate loop shards across a process pool
-    (:func:`repro.parallel.parallel_closed_loop`) with identical
-    results. ``backend`` is the LP backend; ``sim_backend`` the
-    simulation engine knob (identical observations for every choice).
+    ever been refuted) even across processes and CI runs. Each
+    candidate runs as a one-op ``analyze`` plan through
+    :meth:`repro.pipeline.CounterPoint.analyze`. ``backend`` is the LP
+    backend; ``sim_backend`` the simulation engine knob (identical
+    observations for every choice).
     """
     from repro.cone.cache import get_model_cone
     from repro.pipeline import CounterPoint
 
+    candidates = [as_mudd(candidate) for candidate in candidate_models]
+    names = [candidate.name for candidate in candidates]
+    if len(set(names)) != len(names):
+        raise AnalysisError(
+            "duplicate model names in closed loop: %s" % ", ".join(names)
+        )
     observation = simulate_observation(
         observed_model, n_uops=n_uops, weights=weights, seed=seed,
         noisy=use_regions, backend=sim_backend,
     )
-    candidate_models = list(candidate_models)
-    if workers is None or workers > 1:
-        from repro.parallel import ParallelRunner, parallel_closed_loop
-
-        # The pool exists only for this call; shut it down on the way
-        # out instead of leaving workers to garbage-collection timing.
-        with ParallelRunner(workers=workers, cache_dir=cache_dir) as runner:
-            return parallel_closed_loop(
-                runner,
-                observation,
-                candidate_models,
-                backend=backend,
-                confidence=confidence,
-                use_regions=use_regions,
-            )
     counters = observation.samples.counters
     counterpoint = CounterPoint(backend=backend, confidence=confidence)
     target = (
@@ -204,10 +198,8 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
         else observation.point()
     )
     reports = {}
-    for candidate in candidate_models:
-        cone = get_model_cone(
-            as_mudd(candidate), counters=counters, cache_dir=cache_dir
-        )
+    for candidate in candidates:
+        cone = get_model_cone(candidate, counters=counters, cache_dir=cache_dir)
         report = counterpoint.analyze(cone, target)
         reports[report.model_name] = report
     return reports

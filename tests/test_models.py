@@ -142,6 +142,14 @@ class TestModelBuilders:
         second = build_model_cone(M_SERIES["m0"])
         assert first is second
 
+    def test_named_cone_after_unnamed_keeps_its_name(self):
+        unnamed = build_model_cone(M_SERIES["m3"])
+        named = build_model_cone(M_SERIES["m3"], name="m3")
+        assert named.name == "m3"
+        assert unnamed.name.startswith("haswell[")
+        assert build_model_cone(M_SERIES["m3"]) is unnamed
+        assert build_model_cone(M_SERIES["m3"], name="m3") is named
+
     def test_trigger_mudd_builds(self):
         mudd = build_trigger_mudd(T_SERIES["t10"])
         assert mudd.validate()

@@ -1,25 +1,22 @@
 """repro.parallel: the pool orchestrator and its serial equivalence.
 
 The contract under test everywhere: ``workers=N`` changes wall-clock,
-never results. Every sharded entry point is compared cell-for-cell
-against its serial counterpart, and the fallback paths (workers=1,
-single cell, unpicklable work) are exercised explicitly.
+never results. Every pooled route — the facade through the plan
+engine's pool scheduler, and the dispatchers it calls — is compared
+cell-for-cell against its serial counterpart, and the fallback paths
+(workers=1, single cell, unpicklable work) are exercised explicitly.
 """
 
 import pytest
 
 from repro.errors import AnalysisError
 from repro.models.bundled import bundled_model_names
-from repro.parallel import (
-    ParallelRunner,
-    parallel_cross_refute,
-    parallel_simulate_dataset,
-    parallel_sweep,
-    split_seeds,
-)
-from repro.parallel.tasks import _chunks
+from repro.parallel import ParallelRunner, parallel_simulate_dataset, split_seeds
+from repro.parallel.tasks import _chunks, dispatch_verdicts
 from repro.pipeline import CounterPoint
-from repro.sim import as_mudd, closed_loop, simulate_dataset
+from repro.results import AnalysisSession
+from repro.results.session import compute_cell_verdicts
+from repro.sim import as_mudd, simulate_dataset
 
 
 def _square(x):
@@ -75,15 +72,9 @@ class TestRunner:
             assert runner.map_cells(_cell_n, cells) == [1, 2]
         assert runner.fallbacks == 1
 
-    def test_map_models_alias(self):
-        runner = ParallelRunner(workers=1)
-        assert runner.map_models(_square, [2, 3]) == [4, 9]
-
     def test_invalid_workers_rejected(self):
         with pytest.raises(AnalysisError):
             ParallelRunner(workers=0)
-        with pytest.raises(AnalysisError):
-            ParallelRunner(workers=2, chunk_size=0)
         with pytest.raises(AnalysisError):
             CounterPoint(workers=0)
 
@@ -138,13 +129,41 @@ class TestParallelEqualsSerial:
         )
         assert serial.infeasible_names == pooled.infeasible_names
 
-    def test_simulate_dataset(self, bundled):
-        serial = CounterPoint().simulate_dataset(bundled[0], 5, n_uops=2000)
-        pooled = CounterPoint(workers=2).simulate_dataset(
-            bundled[0], 5, n_uops=2000
-        )
-        assert [o.name for o in serial] == [o.name for o in pooled]
-        assert [o.totals for o in serial] == [o.totals for o in pooled]
+    @staticmethod
+    def _check_simulate_dataset(options):
+        """The facade's dataset, serial and pooled, equals
+        :func:`repro.sim.simulate_dataset`'s sample for sample."""
+        reference = simulate_dataset("merging_load_side", 3, n_uops=2000,
+                                     **options)
+        for workers in (1, 2):
+            with CounterPoint(workers=workers) as counterpoint:
+                dataset = counterpoint.simulate_dataset(
+                    "merging_load_side", 3, n_uops=2000, **options
+                )
+            assert [o.name for o in dataset] == [o.name for o in reference]
+            assert [o.fingerprint(samples=True) for o in dataset] == [
+                o.fingerprint(samples=True) for o in reference
+            ], workers
+
+    def test_simulate_dataset(self):
+        self._check_simulate_dataset({})
+
+    @pytest.mark.parametrize("options", [
+        {"weights": {"Merged": {"Yes": 3.0, "No": 1.0}}},
+        {"noisy": True},
+        {"seed": 17},
+    ], ids=["weights", "noisy", "seed"])
+    def test_simulate_dataset_options(self, options):
+        self._check_simulate_dataset(options)
+
+    def test_simulate_dataset_validates_like_a_plan_op(self):
+        counterpoint = CounterPoint()
+        with pytest.raises(AnalysisError):
+            counterpoint.simulate_dataset("merging_load_side", 0)
+        with pytest.raises(AnalysisError):
+            counterpoint.simulate_dataset(
+                "merging_load_side", 2, weights={"Merged": 3.0}
+            )
 
     def test_cross_refute(self, bundled):
         models = bundled[:3]
@@ -169,32 +188,21 @@ class TestParallelEqualsSerial:
         for row, sweeps in pooled.items():
             assert sweeps[row].feasible
 
-    def test_closed_loop(self, bundled, tmp_path):
-        names = [m.name for m in bundled[:3]]
-        serial = closed_loop(names[0], names, n_uops=3000)
-        pooled = closed_loop(
-            names[0], names, n_uops=3000, workers=2,
-            cache_dir=str(tmp_path / "cones"),
-        )
-        assert {k: v.feasible for k, v in serial.items()} == {
-            k: v.feasible for k, v in pooled.items()
-        }
-
     def test_direct_entry_points(self, bundled, small_dataset):
         runner = ParallelRunner(workers=2)
         cone = CounterPoint(backend="scipy").model_cone(
             bundled[1], counters=small_dataset[0].samples.counters
         )
-        sweep = parallel_sweep(runner, cone, small_dataset, backend="scipy")
-        assert sweep.n_observations == len(small_dataset)
-
-        matrix = parallel_cross_refute(
-            runner, bundled[:2], n_observations=2, n_uops=2000, backend="scipy"
-        )
-        assert set(matrix) == {m.name for m in bundled[:2]}
+        points = [observation.point() for observation in small_dataset]
+        verdicts = dispatch_verdicts(runner, cone, points, backend="scipy")
+        assert [v.to_dict() for v in verdicts] == [
+            v.to_dict()
+            for v in compute_cell_verdicts(cone, points, backend="scipy")
+        ]
 
         dataset = parallel_simulate_dataset(runner, bundled[0], 3, n_uops=2000)
         assert len(dataset) == 3
+        runner.close()
 
 
 class TestFacadeWiring:
@@ -223,10 +231,26 @@ class TestFacadeWiring:
         assert counterpoint.cone_cache is shared_cache(path)
         assert counterpoint.cone_cache.disk is not None
 
-    def test_runner_carries_cache_dir(self, tmp_path):
-        path = str(tmp_path / "cones")
-        counterpoint = CounterPoint(workers=2, cache_dir=path)
-        assert counterpoint.runner().cache_dir == path
+    def test_standalone_session_computes_in_process(self, monkeypatch):
+        # Only the plan engine's pool scheduler reaches the pool: a
+        # session used directly solves its pending cells in-process,
+        # whatever the pipeline's worker count.
+        from repro.cone import ModelCone
+        from repro.parallel import tasks
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a standalone session dispatched to the pool")
+
+        monkeypatch.setattr(tasks, "dispatch_verdicts", no_pool)
+        pipeline = CounterPoint(backend="exact", workers=2)
+        session = AnalysisSession(pipeline=pipeline)
+        cone = ModelCone(["a", "b"], [(1, 0), (1, 1)], name="tiny")
+        sweep = session.sweep(
+            cone, [{"a": 5, "b": 2}, {"a": 3, "b": 9}, {"a": 4, "b": 4}]
+        )
+        assert session.stats.tests == 3
+        assert sweep.n_infeasible == 1
+        assert pipeline._runner is None
 
 
 class TestParallelGuidedSearch:

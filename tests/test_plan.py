@@ -6,8 +6,8 @@ The headline contracts, asserted with real call counters:
   ``cross_refute`` ops computes each shared (cone, observation) verdict
   **exactly once**;
 * every facade call routed through the plan engine is **bit-for-bit
-  identical** to the pre-redesign session/parallel paths, serial and
-  ``workers=2``;
+  identical** to a reference assembled from the session's memoized
+  units by definition, serial and ``workers=2``;
 * a dry run prices the DAG without solving anything, and its task count
   matches what a cold execution computes;
 * interrupted runs resume from the artifact store with only pending
@@ -25,7 +25,7 @@ import pytest
 import repro.results.session as session_module
 from repro.cone import ModelCone
 from repro.errors import AnalysisError
-from repro.models.bundled import load_bundled_model
+from repro.models.bundled import bundled_model_source, load_bundled_model
 from repro.pipeline import CounterPoint
 from repro.plan import (
     DryRunReport,
@@ -36,8 +36,8 @@ from repro.plan import (
     compile_plan,
 )
 from repro.results import AnalysisSession, result_from_json
-from repro.results.types import CompareResult, ModelSweep
-from repro.sim import simulate_dataset
+from repro.results.types import CompareResult, ModelSweep, RefutationMatrix
+from repro.sim import as_mudd, simulate_dataset
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -64,6 +64,15 @@ def dataset(n, offset=0):
         Obs("o%03d" % index,
             {"a": 5 + index, "b": (9 + index if index % 3 == 0 else 2)})
         for index in range(offset, offset + n)
+    ]
+
+
+def dsl_sources():
+    """Two different models as DSL text: both compile to a µDD named
+    ``model``."""
+    return [
+        bundled_model_source("pde_refined"),
+        bundled_model_source("pde_initial"),
     ]
 
 
@@ -268,6 +277,21 @@ class TestCompile:
             exact_cells = compile_plan(plan, exact_pipe).cell_keys
         assert scipy_cells.isdisjoint(exact_cells)
 
+    def test_cross_refute_rejects_duplicate_model_names(self, monkeypatch):
+        import repro.sim
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the plan")
+
+        monkeypatch.setattr(repro.sim, "simulate_dataset", no_simulation)
+        # Every DSL source is named "model": a 2x2 matrix over two of
+        # them would silently collapse to 1x1.
+        with CounterPoint(backend="scipy") as pipeline:
+            with pytest.raises(AnalysisError, match="duplicate model names"):
+                pipeline.cross_refute(
+                    dsl_sources(), n_observations=1, n_uops=2000
+                )
+
     def test_execution_order_respects_dependencies(self):
         plan = Plan()
         late = plan.cross_refute(["pde_initial"], n_observations=1,
@@ -423,6 +447,13 @@ class TestDryRun:
         assert report.tasks["deduplicated"] == 6
         assert report.cache == {"known_hits": 0, "unknown": 8}
 
+    def test_dry_run_rejects_duplicate_model_names(self):
+        plan = Plan()
+        plan.cross_refute(dsl_sources(), n_observations=1)
+        with CounterPoint(backend="scipy") as pipeline:
+            with pytest.raises(AnalysisError, match="duplicate model names"):
+                pipeline.plan_engine().dry_run(plan)
+
     def test_dry_run_estimate_matches_cold_execution(self):
         with CounterPoint(backend="scipy") as pipeline:
             engine = pipeline.plan_engine()
@@ -511,10 +542,33 @@ class TestResume:
         assert result.stats["store_hits"] == 3
 
 
+def reference_cross_refute(pipeline, models, n_observations, n_uops, seed=0):
+    """The closed-loop matrix by its definition, outside the plan
+    engine: row ``r`` simulates its model from ``seed + 1000 * r``,
+    every candidate's cone takes that row's counter ordering, and each
+    cell comes from :meth:`AnalysisSession.sweep`."""
+    session = AnalysisSession(pipeline=pipeline)
+    mudds = [as_mudd(model) for model in models]
+    rows = {}
+    for row, observed in enumerate(mudds):
+        observations = simulate_dataset(
+            observed, n_observations, n_uops=n_uops, seed=seed + 1000 * row
+        )
+        counters = observations[0].samples.counters
+        rows[observed.name] = CompareResult({
+            candidate.name: session.sweep(
+                pipeline.model_cone(candidate, counters=counters),
+                observations,
+            )
+            for candidate in mudds
+        })
+    return RefutationMatrix(rows)
+
+
 class TestFacadeEquivalence:
     """Every plan-engine-routed facade call is bit-for-bit identical to
-    the pre-redesign session/parallel paths (the old code paths are
-    still callable directly, which is what makes this provable)."""
+    a reference built from the session's two memoized units, sweep and
+    analyze, outside the engine."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_compare_analyze_match(self, workers):
@@ -532,7 +586,9 @@ class TestFacadeEquivalence:
             session = AnalysisSession(pipeline=reference)
             cone = reference.model_cone(candidate, counters=counters)
             old_sweep = session.sweep(cone, observations, explain=True)
-            old_compare = session.compare([cone], observations, explain=True)
+            old_compare = CompareResult(
+                [session.sweep(cone, observations, explain=True)]
+            )
             old_report = session.analyze(cone, observations[0].point())
 
         assert new_sweep.to_dict() == old_sweep.to_dict()
@@ -547,8 +603,8 @@ class TestFacadeEquivalence:
                 models, n_observations=2, n_uops=2000
             )
         with CounterPoint(backend="scipy", workers=workers) as reference:
-            old_matrix = AnalysisSession(pipeline=reference).cross_refute(
-                models, n_observations=2, n_uops=2000
+            old_matrix = reference_cross_refute(
+                reference, models, n_observations=2, n_uops=2000
             )
         assert new_matrix.to_dict() == old_matrix.to_dict()
 

@@ -149,14 +149,14 @@ class TestIncrementalCrossRefute:
     def test_appending_one_model_tests_only_new_cells(self):
         counterpoint = CounterPoint(backend="scipy")
         session = counterpoint.session()
-        small = session.cross_refute(
+        small = counterpoint.cross_refute(
             ["pde_initial"], n_observations=2, n_uops=2000
         )
         assert small.diagonal_feasible()
         cells_one = session.stats.tests
         assert cells_one == 2  # 1 row x 1 candidate x 2 observations
 
-        grown = session.cross_refute(
+        grown = counterpoint.cross_refute(
             ["pde_initial", "pde_refined"], n_observations=2, n_uops=2000
         )
         assert grown.diagonal_feasible()
@@ -197,8 +197,8 @@ class TestSerialParallelEquality:
             shipped.append(len(list(targets)))
             return real(runner, cone, targets, **kwargs)
 
-        # The session imports dispatch_verdicts lazily from the module,
-        # so patching the module attribute is sufficient.
+        # The pool scheduler imports dispatch_verdicts lazily from the
+        # module, so patching the module attribute is sufficient.
         monkeypatch.setattr(tasks_module, "dispatch_verdicts", wrapper)
         with CounterPoint(backend="exact", workers=2) as counterpoint:
             cone = tiny_cone()
@@ -322,18 +322,19 @@ class TestSessionSurface:
     def test_compare_rejects_duplicate_model_names(self):
         from repro.errors import AnalysisError
 
-        session = AnalysisSession(backend="exact")
+        counterpoint = CounterPoint(backend="exact")
         with pytest.raises(AnalysisError):
-            session.compare([tiny_cone(), tiny_cone()], dataset(2))
+            counterpoint.compare([tiny_cone(), tiny_cone()], dataset(2))
 
     def test_compare_is_incremental_across_models(self):
-        session = AnalysisSession(backend="exact")
+        counterpoint = CounterPoint(backend="exact")
+        session = counterpoint.session()
         cone_a = tiny_cone()
         cone_b = ModelCone(["a", "b"], [(1, 1)], name="diag")
         observations = dataset(5)
-        session.compare([cone_a], observations)
+        counterpoint.compare([cone_a], observations)
         assert session.stats.tests == 5
-        comparison = session.compare([cone_a, cone_b], observations)
+        comparison = counterpoint.compare([cone_a, cone_b], observations)
         assert session.stats.tests == 10      # only the new model's cells
         assert set(comparison) == {"tiny", "diag"}
 
@@ -397,3 +398,29 @@ class TestClaimedSession:
         # verdict instead of recomputing it.
         assert sum(batches) == 24
         assert results["left"].to_dict() == results["right"].to_dict()
+
+    def test_claim_won_after_the_owner_finished_is_not_recomputed(
+        self, monkeypatch
+    ):
+        from repro.results import ClaimTable
+
+        cone = tiny_cone()
+        observations = dataset(3)
+        finished = session_module.compute_cell_verdicts(
+            cone, [observation.point() for observation in observations]
+        )
+        session = AnalysisSession(backend="exact")
+
+        class LateClaims(ClaimTable):
+            def claim(self, key):
+                # The previous owner records the cell and releases its
+                # claim between this caller's lookup and its claim.
+                session._record(key, finished.pop(0))
+                return super().claim(key)
+
+        session.claims = LateClaims()
+        counter = CountingFeasibility(monkeypatch)
+        sweep = session.sweep(cone, observations)
+        assert counter.total == 0
+        assert session.stats.tests == 0
+        assert sweep.infeasible_names == ["o000"]

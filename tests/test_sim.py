@@ -6,9 +6,9 @@ import pytest
 from repro.cone import ModelCone
 from repro.cone import test_point_feasibility as point_feasibility
 from repro.cone import test_region_feasibility as region_feasibility
-from repro.errors import SimulationError
+from repro.errors import AnalysisError, SimulationError
 from repro.models import M_SERIES
-from repro.models.bundled import load_bundled_model
+from repro.models.bundled import bundled_model_source, load_bundled_model
 from repro.models.haswell import ALL_COUNTERS, build_haswell_mudd
 from repro.mudd import signature_matrix
 from repro.pipeline import CounterPoint
@@ -283,6 +283,24 @@ class TestClosedLoop:
         )
         assert reports["pde_refined"].feasible
         assert not reports["pde_initial"].feasible
+
+    def test_duplicate_candidate_names_rejected_before_simulating(
+        self, monkeypatch
+    ):
+        import repro.sim.scenarios as scenarios
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("closed_loop simulated before rejecting")
+
+        monkeypatch.setattr(scenarios, "simulate_observation", no_simulation)
+        # Every DSL source is named "model": two of them would share
+        # one report slot, so a refuted candidate could vanish.
+        sources = [
+            bundled_model_source("pde_refined"),
+            bundled_model_source("pde_initial"),
+        ]
+        with pytest.raises(AnalysisError, match="duplicate model names"):
+            closed_loop("pde_refined", sources, n_uops=2000)
 
     def test_cross_refute_matrix(self):
         counterpoint = CounterPoint(backend="exact")

@@ -27,11 +27,27 @@ mechanisms, not hand-tuned counts, produce the observation dataset):
 
 from repro.errors import SimulationError
 from repro.cache import CacheHierarchy
+from repro.cache.cache import MEMORY_LEVEL
 from repro.counters.events import HASWELL_MMU_EVENTS
 from repro.mmu.config import MMUConfig, PageSize
-from repro.mmu.paging import PageTable, PagingStructureCache
+from repro.mmu.paging import (
+    ENTRY_BYTES,
+    PD_SHIFT,
+    PDPT_SHIFT,
+    PML4_SHIFT,
+    PT_SHIFT,
+    PageTable,
+    PagingStructureCache,
+)
 from repro.mmu.prefetcher import PrefetchTrigger
 from repro.mmu.tlb import L1DTLB, STLB
+
+_LEVEL_SHIFTS = {"pml4": PML4_SHIFT, "pdpt": PDPT_SHIFT, "pd": PD_SHIFT, "pt": PT_SHIFT}
+
+# The counter a walker load increments, by the cache level serving it.
+_WALK_REF_KEYS = {
+    level: "walk_ref." + level for level in CacheHierarchy.LEVELS + (MEMORY_LEVEL,)
+}
 
 
 class MemoryOp:
@@ -52,17 +68,41 @@ class MemoryOp:
         return "MemoryOp(%s, 0x%x, retires=%r)" % (self.kind, self.vaddr, self.retires)
 
 
+class _CounterKeys:
+    """The counter names one access type increments at one page size,
+    formatted once per simulator."""
+
+    __slots__ = (
+        "ret",
+        "ret_stlb_miss",
+        "stlb_hit",
+        "stlb_hit_size",
+        "causes_walk",
+        "walk_done",
+        "walk_done_size",
+        "pde_miss",
+    )
+
+    def __init__(self, kind, page_size):
+        self.ret = kind + ".ret"
+        self.ret_stlb_miss = kind + ".ret_stlb_miss"
+        self.stlb_hit = kind + ".stlb_hit"
+        self.stlb_hit_size = "%s.stlb_hit_%s" % (kind, page_size)
+        self.causes_walk = kind + ".causes_walk"
+        self.walk_done = kind + ".walk_done"
+        self.walk_done_size = "%s.walk_done_%s" % (kind, page_size)
+        self.pde_miss = kind + ".pde$_miss"
+
+
 class _OutstandingWalk:
     """An in-flight page-table walk held in an MSHR."""
 
-    __slots__ = ("vpn", "completes_at", "initiator_kind", "page_size", "waiters", "replayed")
+    __slots__ = ("vpn", "completes_at", "initiator_kind", "waiters")
 
-    def __init__(self, vpn, completes_at, initiator_kind, page_size, replayed):
+    def __init__(self, vpn, completes_at, initiator_kind):
         self.vpn = vpn
         self.completes_at = completes_at
         self.initiator_kind = initiator_kind
-        self.page_size = page_size
-        self.replayed = replayed
         # (kind, retires) per µop waiting on this walk, initiator first.
         self.waiters = []
 
@@ -96,14 +136,38 @@ class MMUSimulator:
         self.prefetch_trigger = PrefetchTrigger()
 
         self.tick = 0
-        self._walk_count = 0
         self._smt_overcount = 0
-        self._outstanding = {}  # vpn -> _OutstandingWalk
+        # vpn -> _OutstandingWalk. A walk starts at most once per tick
+        # and completes walk_latency_ops ticks later, so insertion order
+        # is strictly increasing completes_at order: the head is always
+        # the next walk due (and the oldest, for an MSHR eviction).
+        self._outstanding = {}
         self.counters = {event.name: 0 for event in HASWELL_MMU_EVENTS}
 
-    # -- counter helpers ---------------------------------------------------
-    def _incr(self, name, amount=1):
-        self.counters[name] += amount
+        self._page_bytes = self.page_table.page_bytes
+        self._l1 = self.l1_tlb.arrays[self.page_size]
+        self._keys = {kind: _CounterKeys(kind, self.page_size) for kind in ("load", "store")}
+        self._walk_plans = self._build_walk_plans()
+
+    def _build_walk_plans(self):
+        """Entry level (``None`` = full walk) -> the walk's references:
+        ``(entry-address shift, level base, PSC to fill or None)`` per
+        level read, outermost first. Reading a non-leaf entry installs
+        it in its PSC; the leaf fills none."""
+        fills = {"pd": self.pde_cache, "pdpt": self.pdpte_cache, "pml4": self.pml4e_cache}
+        levels = self.page_table.walk_levels()
+        plans = {}
+        for entry_level in [None] + levels[:-1]:
+            plan = []
+            for level in self.page_table.walk_levels(entry_level):
+                psc = fills.get(level) if level != levels[-1] else None
+                if psc is not None and not psc.enabled:
+                    psc = None  # a disabled PSC never fills
+                # The entry address at vaddr 0 is the level's base.
+                base = self.page_table.entry_address(level, 0)
+                plan.append((_LEVEL_SHIFTS[level], base, psc))
+            plans[entry_level] = tuple(plan)
+        return plans
 
     def snapshot(self):
         """A copy of the cumulative counter values."""
@@ -113,35 +177,45 @@ class MMUSimulator:
     def access(self, op):
         """Process one µop in program order."""
         self.tick += 1
-        self._complete_due_walks()
+        if self._outstanding:
+            self._complete_due_walks()
 
-        if op.kind == "load" and self.config.prefetcher:
-            target_vpn = self.prefetch_trigger.observe(
-                op.vaddr, self.page_table.page_bytes
-            )
+        kind = op.kind
+        if kind == "load" and self.config.prefetcher:
+            target_vpn = self.prefetch_trigger.observe(op.vaddr, self._page_bytes)
             if target_vpn is not None:
                 self._issue_prefetch(target_vpn)
 
-        vpn = self.page_table.vpn(op.vaddr)
-        if self.l1_tlb.lookup(vpn, self.page_size):
+        vpn = op.vaddr // self._page_bytes
+        # TLBArray.lookup, inlined: most µops end at an L1 TLB hit.
+        l1 = self._l1
+        entries = l1._sets[vpn % l1.n_sets]
+        tag = vpn // l1.n_sets
+        if tag in entries:
+            entries.move_to_end(tag)
             self.page_table.set_accessed(vpn)
-            self._retire(op.kind, op.retires, stlb_missed=False)
+            if op.retires:
+                self.counters[self._keys[kind].ret] += 1
             return
 
         if self.stlb.lookup(vpn, self.page_size):
-            self._incr("%s.stlb_hit" % op.kind)
-            self._incr("%s.stlb_hit_%s" % (op.kind, self.page_size))
-            self.l1_tlb.insert(vpn, self.page_size)
+            keys = self._keys[kind]
+            counters = self.counters
+            counters[keys.stlb_hit] += 1
+            counters[keys.stlb_hit_size] += 1
+            l1.insert(vpn)
             self.page_table.set_accessed(vpn)
-            self._retire(op.kind, op.retires, stlb_missed=False)
+            if op.retires:
+                counters[keys.ret] += 1
             return
 
         self._demand_translation(op, vpn)
 
     def run(self, ops):
         """Process an iterable of µops, then drain outstanding walks."""
+        access = self.access
         for op in ops:
-            self.access(op)
+            access(op)
         self.drain()
 
     def run_intervals(self, ops, ops_per_interval):
@@ -161,12 +235,13 @@ class MMUSimulator:
             schedule = [int(size) for size in ops_per_interval]
             if not schedule or any(size <= 0 for size in schedule):
                 raise SimulationError("interval schedule must be positive ints")
+        access = self.access
         previous = self.snapshot()
         in_interval = 0
         slot = 0
         target = schedule[0]
         for op in ops:
-            self.access(op)
+            access(op)
             in_interval += 1
             if in_interval == target:
                 current = self.snapshot()
@@ -189,11 +264,9 @@ class MMUSimulator:
     # -- demand translation ---------------------------------------------------
     def _demand_translation(self, op, vpn):
         kind = op.kind
-        entry_level = None
-        probed_early = False
+        plan = None
         if self.config.early_psc:
-            entry_level = self._probe_pscs(op.vaddr, kind)
-            probed_early = True
+            plan = self._probe_pscs(op.vaddr, kind)
 
         walk = self._outstanding.get(vpn)
         if walk is not None:
@@ -204,14 +277,13 @@ class MMUSimulator:
             # walk. Complete the old one now so both are accounted.
             self._complete_walk(self._outstanding.pop(vpn))
 
-        if not probed_early:
-            entry_level = self._probe_pscs(op.vaddr, kind)
+        if plan is None:
+            plan = self._probe_pscs(op.vaddr, kind)
 
-        self._start_walk(op.vaddr, vpn, kind, op.retires, entry_level)
+        self._start_walk(op.vaddr, vpn, kind, op.retires, plan)
 
-    def _start_walk(self, vaddr, vpn, kind, retires, entry_level):
-        self._incr("%s.causes_walk" % kind)
-        self._walk_count += 1
+    def _start_walk(self, vaddr, vpn, kind, retires, plan):
+        self.counters[self._keys[kind].causes_walk] += 1
         # Walk replay ("walk bypassing"): a speculative walk that finds
         # the leaf accessed bit unset must set it non-speculatively, so
         # the walk is replayed at retirement; the replay's references are
@@ -220,45 +292,43 @@ class MMUSimulator:
         # Replayed walks still read the page table (non-speculatively, at
         # retirement) — they warm the caches and PSCs — but their loads
         # carry attributes the walk_ref counters do not capture.
-        self._do_walk_references(vaddr, entry_level, count_refs=not replayed)
-        if len(self._outstanding) >= self.config.mshr_entries:
-            # MSHRs full: complete the oldest walk immediately.
-            oldest_vpn = min(
-                self._outstanding, key=lambda key: self._outstanding[key].completes_at
-            )
-            self._complete_walk(self._outstanding.pop(oldest_vpn))
-        walk = _OutstandingWalk(
-            vpn,
-            self.tick + self.config.walk_latency_ops,
-            kind,
-            self.page_size,
-            replayed,
-        )
+        self._do_walk_references(vaddr, plan, count_refs=not replayed)
+        outstanding = self._outstanding
+        if len(outstanding) >= self.config.mshr_entries:
+            # MSHRs full: complete the oldest walk (the head) immediately.
+            oldest = next(iter(outstanding.values()))
+            del outstanding[oldest.vpn]
+            self._complete_walk(oldest)
+        walk = _OutstandingWalk(vpn, self.tick + self.config.walk_latency_ops, kind)
         walk.waiters.append((kind, retires))
-        self._outstanding[vpn] = walk
+        outstanding[vpn] = walk
 
     def _complete_due_walks(self):
-        if not self._outstanding:
-            return
-        due = [vpn for vpn, walk in self._outstanding.items() if walk.completes_at <= self.tick]
-        for vpn in due:
-            self._complete_walk(self._outstanding.pop(vpn))
+        """Complete the walks due by now: a prefix of ``_outstanding``."""
+        outstanding = self._outstanding
+        tick = self.tick
+        while outstanding:
+            walk = next(iter(outstanding.values()))
+            if walk.completes_at > tick:
+                return
+            del outstanding[walk.vpn]
+            self._complete_walk(walk)
 
     def _complete_walk(self, walk):
-        self._incr("%s.walk_done" % walk.initiator_kind)
-        self._incr("%s.walk_done_%s" % (walk.initiator_kind, walk.page_size))
-        self.page_table.set_accessed(walk.vpn)
-        self.l1_tlb.insert(walk.vpn, walk.page_size)
-        self.stlb.insert(walk.vpn, walk.page_size)
+        counters = self.counters
+        keys = self._keys[walk.initiator_kind]
+        counters[keys.walk_done] += 1
+        counters[keys.walk_done_size] += 1
+        vpn = walk.vpn
+        self.page_table.set_accessed(vpn)
+        self._l1.insert(vpn)
+        self.stlb.insert(vpn, self.page_size)
         for kind, retires in walk.waiters:
-            self._retire(kind, retires, stlb_missed=True)
-
-    def _retire(self, kind, retires, stlb_missed):
-        if not retires:
-            return
-        self._incr("%s.ret" % kind)
-        if stlb_missed:
-            self._incr("%s.ret_stlb_miss" % kind)
+            if not retires:
+                continue
+            keys = self._keys[kind]
+            counters[keys.ret] += 1
+            counters[keys.ret_stlb_miss] += 1
             # Erratum HSD29/HSM30: with SMT enabled the
             # mem_uops_retired.stlb_miss_* events may overcount; the
             # corrupted data violates ret_stlb_miss <= ret, which every
@@ -266,55 +336,37 @@ class MMUSimulator:
             if self.config.smt_enabled:
                 self._smt_overcount += 1
                 if self._smt_overcount % 4 == 0:
-                    self._incr("%s.ret_stlb_miss" % kind)
+                    counters[keys.ret_stlb_miss] += 1
 
     # -- paging-structure caches -------------------------------------------------
     def _probe_pscs(self, vaddr, attributed_kind):
-        """Probe PSCs deepest-first; returns the entry level supplied by
-        the deepest hit (``None`` = full walk). Always counts PDE-cache
-        misses for the attributing access type."""
-        pde_hit = self.pde_cache.lookup(vaddr, self.page_size)
-        if not pde_hit:
-            self._incr("%s.pde$_miss" % attributed_kind)
-        if pde_hit:
-            return "pd"
+        """Probe PSCs deepest-first; returns the walk plan that starts
+        below the deepest hit (the full walk when none hits). Always
+        counts PDE-cache misses for the attributing access type."""
+        if self.pde_cache.lookup(vaddr, self.page_size):
+            return self._walk_plans["pd"]
+        self.counters[self._keys[attributed_kind].pde_miss] += 1
         if self.pdpte_cache.lookup(vaddr, self.page_size):
-            return "pdpt"
+            return self._walk_plans["pdpt"]
         if self.pml4e_cache.lookup(vaddr, self.page_size):
-            return "pml4"
-        return None
+            return self._walk_plans["pml4"]
+        return self._walk_plans[None]
 
-    def _do_walk_references(self, vaddr, entry_level, count_refs=True):
+    def _do_walk_references(self, vaddr, plan, count_refs=True):
         """Perform the walker's PTE loads and fill the PSCs.
 
         ``count_refs=False`` models replayed walks: the loads happen (and
         warm the cache hierarchy and PSCs) but are not visible to the
         ``walk_ref`` counters.
         """
-        levels = self.page_table.walk_levels(entry_level)
-        for level in levels:
-            address = self.page_table.entry_address(level, vaddr)
-            served_by = self.caches.access(address)
+        access = self.caches.access
+        counters = self.counters
+        for shift, base, psc in plan:
+            served_by = access(base + (vaddr >> shift) * ENTRY_BYTES)
             if count_refs:
-                self._incr("walk_ref.%s" % served_by)
-        self._fill_pscs(vaddr, levels)
-
-    def _fill_pscs(self, vaddr, levels_read):
-        """Reading a non-leaf entry installs it in its PSC."""
-        leaf = {
-            PageSize.SIZE_4K: "pt",
-            PageSize.SIZE_2M: "pd",
-            PageSize.SIZE_1G: "pdpt",
-        }[self.page_size]
-        for level in levels_read:
-            if level == leaf:
-                continue
-            if level == "pd":
-                self.pde_cache.insert(vaddr)
-            elif level == "pdpt":
-                self.pdpte_cache.insert(vaddr)
-            elif level == "pml4":
-                self.pml4e_cache.insert(vaddr)
+                counters[_WALK_REF_KEYS[served_by]] += 1
+            if psc is not None:
+                psc.insert(vaddr)
 
     # -- prefetch ------------------------------------------------------------------
     def _issue_prefetch(self, target_vpn):
@@ -325,16 +377,14 @@ class MMUSimulator:
         bit, and on success fills both TLB levels. Never increments
         ``causes_walk`` or ``walk_done``.
         """
-        if self.l1_tlb.lookup(target_vpn, self.page_size) or self.stlb.lookup(
-            target_vpn, self.page_size
-        ):
+        if self._l1.lookup(target_vpn) or self.stlb.lookup(target_vpn, self.page_size):
             return
         if target_vpn in self._outstanding:
             return
-        vaddr = target_vpn * self.page_table.page_bytes
-        entry_level = self._probe_pscs(vaddr, "load")
-        self._do_walk_references(vaddr, entry_level)
+        vaddr = target_vpn * self._page_bytes
+        plan = self._probe_pscs(vaddr, "load")
+        self._do_walk_references(vaddr, plan)
         if not self.page_table.is_accessed(target_vpn):
             return  # abort: accessed bit unset; no fill, no completion
-        self.l1_tlb.insert(target_vpn, self.page_size)
+        self._l1.insert(target_vpn)
         self.stlb.insert(target_vpn, self.page_size)

@@ -49,18 +49,26 @@ class Workload:
         return "%s(footprint=%d)" % (type(self).__name__, self.footprint_bytes)
 
 
-def interleave_stores(index, load_store_ratio):
-    """Shared helper: should op ``index`` be a store?
+def store_period(load_store_ratio):
+    """The deterministic load/store interleave of a stream.
 
     ``load_store_ratio`` is the fraction of loads (1.0 = loads only,
-    0.0 = stores only). Deterministic interleaving keeps streams
-    reproducible.
+    0.0 = stores only). Returns ``None`` for loads only; otherwise op
+    ``index`` is a store when ``index % period == period - 1`` (period
+    1: every op). Deterministic interleaving keeps streams
+    reproducible. Raises :class:`SimulationError` for a ratio outside
+    [0, 1].
     """
     if not 0.0 <= load_store_ratio <= 1.0:
         raise SimulationError("load_store_ratio must be in [0, 1]")
     if load_store_ratio >= 1.0:
-        return False
+        return None
     if load_store_ratio <= 0.0:
-        return True
-    period = max(2, round(1.0 / (1.0 - load_store_ratio)))
-    return index % period == period - 1
+        return 1
+    return max(2, round(1.0 / (1.0 - load_store_ratio)))
+
+
+def interleave_stores(index, load_store_ratio):
+    """Should op ``index`` be a store? See :func:`store_period`."""
+    period = store_period(load_store_ratio)
+    return period is not None and index % period == period - 1

@@ -11,7 +11,7 @@ reverse-engineer the TLB prefetchers.
 import random
 
 from repro.errors import SimulationError
-from repro.workloads.base import Workload, interleave_stores
+from repro.workloads.base import Workload, store_period
 
 
 class LinearAccessWorkload(Workload):
@@ -48,6 +48,7 @@ class LinearAccessWorkload(Workload):
         super().__init__(footprint_bytes, seed=seed)
         if stride <= 0:
             raise SimulationError("stride must be positive")
+        store_period(load_store_ratio)  # rejects a ratio outside [0, 1]
         self.stride = stride
         self.load_store_ratio = load_store_ratio
         self.descending = descending
@@ -59,6 +60,7 @@ class LinearAccessWorkload(Workload):
             positions = positions[::-1]
         if not positions:
             return
+        period = store_period(self.load_store_ratio)
         index = 0
         if self.warm_pass:
             # One access per 4K frame to set accessed bits; the warm
@@ -73,8 +75,10 @@ class LinearAccessWorkload(Workload):
             for offset in positions:
                 if index >= n_ops:
                     return
-                kind = "store" if interleave_stores(index, self.load_store_ratio) else "load"
-                yield (kind, offset)
+                if period is not None and index % period == period - 1:
+                    yield ("store", offset)
+                else:
+                    yield ("load", offset)
                 index += 1
 
     def describe(self):
@@ -95,6 +99,7 @@ class RandomAccessWorkload(Workload):
 
     def __init__(self, footprint_bytes, load_store_ratio=1.0, seed=0):
         super().__init__(footprint_bytes, seed=seed)
+        store_period(load_store_ratio)  # rejects a ratio outside [0, 1]
         self.load_store_ratio = load_store_ratio
 
     def addresses(self, n_ops):
@@ -102,10 +107,13 @@ class RandomAccessWorkload(Workload):
         lines = self.footprint_bytes // 64
         if lines <= 0:
             raise SimulationError("footprint smaller than one cache line")
+        period = store_period(self.load_store_ratio)
         for index in range(n_ops):
             offset = rng.randrange(lines) * 64
-            kind = "store" if interleave_stores(index, self.load_store_ratio) else "load"
-            yield (kind, offset)
+            if period is not None and index % period == period - 1:
+                yield ("store", offset)
+            else:
+                yield ("load", offset)
 
     def describe(self):
         info = super().describe()

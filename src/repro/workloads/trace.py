@@ -31,9 +31,11 @@ def parse_trace_line(line, line_number=0):
     try:
         vaddr = int(fields[1], 0)
     except ValueError:
+        vaddr = None
+    if vaddr is None or vaddr < 0:
         raise SimulationError(
             "bad address on trace line %d: %r" % (line_number, fields[1])
-        ) from None
+        )
     return kind, vaddr, retires
 
 

@@ -1,0 +1,361 @@
+"""The readable MMU simulator, frozen as the reference for the fast one.
+
+This is :class:`repro.mmu.MMUSimulator` as it stood before its per-µop
+work was cut down: every walk completion scans the MSHRs, every counter
+name is formatted at its increment, and every walk asks
+:class:`~repro.mmu.paging.PageTable` for its levels and entry
+addresses. ``tests/test_mmu_fastpath.py`` runs both simulators on the
+same seeded op streams and requires identical counters, ticks and
+accessed bits. Do not optimise this file: its value is that it is
+obviously the specification.
+
+The two microbenchmark address loops are frozen here too, with the
+per-op store rule they used, so the generators' cheaper loops are
+checked against them.
+"""
+
+import random
+
+from repro.errors import SimulationError
+from repro.cache import CacheHierarchy
+from repro.counters.events import HASWELL_MMU_EVENTS
+from repro.mmu.config import MMUConfig, PageSize
+from repro.mmu.paging import PageTable, PagingStructureCache
+from repro.mmu.prefetcher import PrefetchTrigger
+from repro.mmu.tlb import L1DTLB, STLB
+
+
+class _OutstandingWalk:
+    """An in-flight page-table walk held in an MSHR."""
+
+    __slots__ = ("vpn", "completes_at", "initiator_kind", "page_size", "waiters", "replayed")
+
+    def __init__(self, vpn, completes_at, initiator_kind, page_size, replayed):
+        self.vpn = vpn
+        self.completes_at = completes_at
+        self.initiator_kind = initiator_kind
+        self.page_size = page_size
+        self.replayed = replayed
+        # (kind, retires) per µop waiting on this walk, initiator first.
+        self.waiters = []
+
+
+class ReferenceMMUSimulator:
+    """Functional simulator of the Haswell data-side MMU.
+
+    Parameters
+    ----------
+    config:
+        :class:`MMUConfig`; defaults to full Haswell.
+    page_size:
+        Page size backing the workload's address space (one size per
+        run, matching the paper's per-configuration experiments).
+    cache_hierarchy:
+        Optional pre-built :class:`CacheHierarchy` for walker loads.
+    """
+
+    def __init__(self, config=None, page_size=PageSize.SIZE_4K, cache_hierarchy=None):
+        self.config = config or MMUConfig.full_haswell()
+        self.page_size = PageSize.validate(page_size)
+        self.page_table = PageTable(page_size)
+        self.l1_tlb = L1DTLB(self.config)
+        self.stlb = STLB(self.config)
+        self.pde_cache = PagingStructureCache("pd", self.config.pde_cache_entries)
+        self.pdpte_cache = PagingStructureCache("pdpt", self.config.pdpte_cache_entries)
+        self.pml4e_cache = PagingStructureCache(
+            "pml4", self.config.pml4e_cache_entries, enabled=self.config.pml4e_cache
+        )
+        self.caches = cache_hierarchy or CacheHierarchy()
+        self.prefetch_trigger = PrefetchTrigger()
+
+        self.tick = 0
+        self._walk_count = 0
+        self._smt_overcount = 0
+        self._outstanding = {}  # vpn -> _OutstandingWalk
+        self.counters = {event.name: 0 for event in HASWELL_MMU_EVENTS}
+
+    # -- counter helpers ---------------------------------------------------
+    def _incr(self, name, amount=1):
+        self.counters[name] += amount
+
+    def snapshot(self):
+        """A copy of the cumulative counter values."""
+        return dict(self.counters)
+
+    # -- main loop -----------------------------------------------------------
+    def access(self, op):
+        """Process one µop in program order."""
+        self.tick += 1
+        self._complete_due_walks()
+
+        if op.kind == "load" and self.config.prefetcher:
+            target_vpn = self.prefetch_trigger.observe(
+                op.vaddr, self.page_table.page_bytes
+            )
+            if target_vpn is not None:
+                self._issue_prefetch(target_vpn)
+
+        vpn = self.page_table.vpn(op.vaddr)
+        if self.l1_tlb.lookup(vpn, self.page_size):
+            self.page_table.set_accessed(vpn)
+            self._retire(op.kind, op.retires, stlb_missed=False)
+            return
+
+        if self.stlb.lookup(vpn, self.page_size):
+            self._incr("%s.stlb_hit" % op.kind)
+            self._incr("%s.stlb_hit_%s" % (op.kind, self.page_size))
+            self.l1_tlb.insert(vpn, self.page_size)
+            self.page_table.set_accessed(vpn)
+            self._retire(op.kind, op.retires, stlb_missed=False)
+            return
+
+        self._demand_translation(op, vpn)
+
+    def run(self, ops):
+        """Process an iterable of µops, then drain outstanding walks."""
+        for op in ops:
+            self.access(op)
+        self.drain()
+
+    def run_intervals(self, ops, ops_per_interval):
+        """Process µops and yield per-interval counter deltas — the
+        perf-style time series the analysis consumes.
+
+        ``ops_per_interval`` is either a positive int (fixed-size
+        intervals) or an iterable of positive ints (a schedule — e.g.
+        fixed *wall-clock* intervals whose µop counts vary with the
+        program's throughput phases). A finite schedule is cycled.
+        """
+        if isinstance(ops_per_interval, int):
+            if ops_per_interval <= 0:
+                raise SimulationError("ops_per_interval must be positive")
+            schedule = [ops_per_interval]
+        else:
+            schedule = [int(size) for size in ops_per_interval]
+            if not schedule or any(size <= 0 for size in schedule):
+                raise SimulationError("interval schedule must be positive ints")
+        previous = self.snapshot()
+        in_interval = 0
+        slot = 0
+        target = schedule[0]
+        for op in ops:
+            self.access(op)
+            in_interval += 1
+            if in_interval == target:
+                current = self.snapshot()
+                yield {name: current[name] - previous[name] for name in current}
+                previous = current
+                in_interval = 0
+                slot += 1
+                target = schedule[slot % len(schedule)]
+        self.drain()
+        if in_interval:
+            current = self.snapshot()
+            yield {name: current[name] - previous[name] for name in current}
+
+    def drain(self):
+        """Complete every outstanding walk (end of program)."""
+        while self._outstanding:
+            self.tick += self.config.walk_latency_ops
+            self._complete_due_walks()
+
+    # -- demand translation ---------------------------------------------------
+    def _demand_translation(self, op, vpn):
+        kind = op.kind
+        entry_level = None
+        probed_early = False
+        if self.config.early_psc:
+            entry_level = self._probe_pscs(op.vaddr, kind)
+            probed_early = True
+
+        walk = self._outstanding.get(vpn)
+        if walk is not None:
+            if self.config.merging:
+                walk.waiters.append((kind, op.retires))
+                return
+            # No MSHR merging: hardware would run a second, independent
+            # walk. Complete the old one now so both are accounted.
+            self._complete_walk(self._outstanding.pop(vpn))
+
+        if not probed_early:
+            entry_level = self._probe_pscs(op.vaddr, kind)
+
+        self._start_walk(op.vaddr, vpn, kind, op.retires, entry_level)
+
+    def _start_walk(self, vaddr, vpn, kind, retires, entry_level):
+        self._incr("%s.causes_walk" % kind)
+        self._walk_count += 1
+        # Walk replay ("walk bypassing"): a speculative walk that finds
+        # the leaf accessed bit unset must set it non-speculatively, so
+        # the walk is replayed at retirement; the replay's references are
+        # not captured by the walk_ref counters (Appendix C.4).
+        replayed = self.config.walk_replay and not self.page_table.is_accessed(vpn)
+        # Replayed walks still read the page table (non-speculatively, at
+        # retirement) — they warm the caches and PSCs — but their loads
+        # carry attributes the walk_ref counters do not capture.
+        self._do_walk_references(vaddr, entry_level, count_refs=not replayed)
+        if len(self._outstanding) >= self.config.mshr_entries:
+            # MSHRs full: complete the oldest walk immediately.
+            oldest_vpn = min(
+                self._outstanding, key=lambda key: self._outstanding[key].completes_at
+            )
+            self._complete_walk(self._outstanding.pop(oldest_vpn))
+        walk = _OutstandingWalk(
+            vpn,
+            self.tick + self.config.walk_latency_ops,
+            kind,
+            self.page_size,
+            replayed,
+        )
+        walk.waiters.append((kind, retires))
+        self._outstanding[vpn] = walk
+
+    def _complete_due_walks(self):
+        if not self._outstanding:
+            return
+        due = [vpn for vpn, walk in self._outstanding.items() if walk.completes_at <= self.tick]
+        for vpn in due:
+            self._complete_walk(self._outstanding.pop(vpn))
+
+    def _complete_walk(self, walk):
+        self._incr("%s.walk_done" % walk.initiator_kind)
+        self._incr("%s.walk_done_%s" % (walk.initiator_kind, walk.page_size))
+        self.page_table.set_accessed(walk.vpn)
+        self.l1_tlb.insert(walk.vpn, walk.page_size)
+        self.stlb.insert(walk.vpn, walk.page_size)
+        for kind, retires in walk.waiters:
+            self._retire(kind, retires, stlb_missed=True)
+
+    def _retire(self, kind, retires, stlb_missed):
+        if not retires:
+            return
+        self._incr("%s.ret" % kind)
+        if stlb_missed:
+            self._incr("%s.ret_stlb_miss" % kind)
+            # Erratum HSD29/HSM30: with SMT enabled the
+            # mem_uops_retired.stlb_miss_* events may overcount; the
+            # corrupted data violates ret_stlb_miss <= ret, which every
+            # µDD implies — the reason the paper disables SMT.
+            if self.config.smt_enabled:
+                self._smt_overcount += 1
+                if self._smt_overcount % 4 == 0:
+                    self._incr("%s.ret_stlb_miss" % kind)
+
+    # -- paging-structure caches -------------------------------------------------
+    def _probe_pscs(self, vaddr, attributed_kind):
+        """Probe PSCs deepest-first; returns the entry level supplied by
+        the deepest hit (``None`` = full walk). Always counts PDE-cache
+        misses for the attributing access type."""
+        pde_hit = self.pde_cache.lookup(vaddr, self.page_size)
+        if not pde_hit:
+            self._incr("%s.pde$_miss" % attributed_kind)
+        if pde_hit:
+            return "pd"
+        if self.pdpte_cache.lookup(vaddr, self.page_size):
+            return "pdpt"
+        if self.pml4e_cache.lookup(vaddr, self.page_size):
+            return "pml4"
+        return None
+
+    def _do_walk_references(self, vaddr, entry_level, count_refs=True):
+        """Perform the walker's PTE loads and fill the PSCs.
+
+        ``count_refs=False`` models replayed walks: the loads happen (and
+        warm the cache hierarchy and PSCs) but are not visible to the
+        ``walk_ref`` counters.
+        """
+        levels = self.page_table.walk_levels(entry_level)
+        for level in levels:
+            address = self.page_table.entry_address(level, vaddr)
+            served_by = self.caches.access(address)
+            if count_refs:
+                self._incr("walk_ref.%s" % served_by)
+        self._fill_pscs(vaddr, levels)
+
+    def _fill_pscs(self, vaddr, levels_read):
+        """Reading a non-leaf entry installs it in its PSC."""
+        leaf = {
+            PageSize.SIZE_4K: "pt",
+            PageSize.SIZE_2M: "pd",
+            PageSize.SIZE_1G: "pdpt",
+        }[self.page_size]
+        for level in levels_read:
+            if level == leaf:
+                continue
+            if level == "pd":
+                self.pde_cache.insert(vaddr)
+            elif level == "pdpt":
+                self.pdpte_cache.insert(vaddr)
+            elif level == "pml4":
+                self.pml4e_cache.insert(vaddr)
+
+    # -- prefetch ------------------------------------------------------------------
+    def _issue_prefetch(self, target_vpn):
+        """A translation prefetch injected from the load/store queue.
+
+        Probes the PSCs (misses attributed to loads — the triggering µop
+        type), injects real walker loads, aborts on an unset accessed
+        bit, and on success fills both TLB levels. Never increments
+        ``causes_walk`` or ``walk_done``.
+        """
+        if self.l1_tlb.lookup(target_vpn, self.page_size) or self.stlb.lookup(
+            target_vpn, self.page_size
+        ):
+            return
+        if target_vpn in self._outstanding:
+            return
+        vaddr = target_vpn * self.page_table.page_bytes
+        entry_level = self._probe_pscs(vaddr, "load")
+        self._do_walk_references(vaddr, entry_level)
+        if not self.page_table.is_accessed(target_vpn):
+            return  # abort: accessed bit unset; no fill, no completion
+        self.l1_tlb.insert(target_vpn, self.page_size)
+        self.stlb.insert(target_vpn, self.page_size)
+
+
+def interleave_stores(index, load_store_ratio):
+    """Should op ``index`` be a store? (The per-op rule, re-checked and
+    recomputed at every op.)"""
+    if not 0.0 <= load_store_ratio <= 1.0:
+        raise SimulationError("load_store_ratio must be in [0, 1]")
+    if load_store_ratio >= 1.0:
+        return False
+    if load_store_ratio <= 0.0:
+        return True
+    period = max(2, round(1.0 / (1.0 - load_store_ratio)))
+    return index % period == period - 1
+
+
+def linear_addresses(workload, n_ops):
+    """``LinearAccessWorkload.addresses`` as it stood."""
+    positions = list(range(0, workload.footprint_bytes, workload.stride))
+    if workload.descending:
+        positions = positions[::-1]
+    if not positions:
+        return
+    index = 0
+    if workload.warm_pass:
+        for offset in range(0, workload.footprint_bytes, 4096):
+            if index >= n_ops:
+                return
+            yield ("store", offset)
+            index += 1
+    while index < n_ops:
+        for offset in positions:
+            if index >= n_ops:
+                return
+            kind = "store" if interleave_stores(index, workload.load_store_ratio) else "load"
+            yield (kind, offset)
+            index += 1
+
+
+def random_addresses(workload, n_ops):
+    """``RandomAccessWorkload.addresses`` as it stood."""
+    rng = random.Random(workload.seed)
+    lines = workload.footprint_bytes // 64
+    if lines <= 0:
+        raise SimulationError("footprint smaller than one cache line")
+    for index in range(n_ops):
+        offset = rng.randrange(lines) * 64
+        kind = "store" if interleave_stores(index, workload.load_store_ratio) else "load"
+        yield (kind, offset)

@@ -109,6 +109,12 @@ class TestTrace:
         with pytest.raises(SimulationError):
             parse_trace_line("L")
 
+    def test_negative_address_rejected_with_line_number(self):
+        with pytest.raises(SimulationError, match="bad address on trace line 3: '-0x40'"):
+            parse_trace_line("L -0x40", 3)
+        with pytest.raises(SimulationError, match="trace line 2"):
+            TraceWorkload(["L 0x1000", "s -64"])
+
     def test_trace_workload_from_lines(self):
         workload = TraceWorkload(["L 0x1000", "S 0x2000", "l 0x3000"])
         ops = list(workload.ops(10))

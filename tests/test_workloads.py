@@ -11,7 +11,7 @@ from repro.workloads import (
     StreamWorkload,
     ZipfianKVWorkload,
 )
-from repro.workloads.base import interleave_stores
+from repro.workloads.base import interleave_stores, store_period
 
 
 ALL_WORKLOADS = [
@@ -60,6 +60,33 @@ class TestInterleaveStores:
     def test_invalid_ratio(self):
         with pytest.raises(SimulationError):
             interleave_stores(0, 1.5)
+
+
+class TestStorePeriod:
+    def test_periods(self):
+        assert store_period(1.0) is None
+        assert store_period(0.0) == 1
+        assert store_period(0.75) == 4
+        assert store_period(0.98) == 50
+        assert store_period(0.2) == 2  # never below 2 for a mixed stream
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.1, 0.5, 0.75, 0.8, 0.9, 0.95, 0.98, 1.0])
+    def test_interleave_stores_follows_the_period(self, ratio):
+        period = store_period(ratio)
+        flags = [interleave_stores(i, ratio) for i in range(200)]
+        assert flags == [period is not None and i % period == period - 1 for i in range(200)]
+
+    @pytest.mark.parametrize("ratio", [-0.5, 1.5, float("nan")])
+    def test_invalid_ratio(self, ratio):
+        with pytest.raises(SimulationError, match="load_store_ratio"):
+            store_period(ratio)
+
+    @pytest.mark.parametrize("ratio", [-0.5, 1.5])
+    def test_microbenchmarks_reject_a_bad_ratio_at_construction(self, ratio):
+        with pytest.raises(SimulationError, match="load_store_ratio"):
+            LinearAccessWorkload(1 << 20, load_store_ratio=ratio, warm_pass=True)
+        with pytest.raises(SimulationError, match="load_store_ratio"):
+            RandomAccessWorkload(1 << 20, load_store_ratio=ratio)
 
 
 class TestLinear:

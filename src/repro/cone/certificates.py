@@ -15,8 +15,9 @@ from fractions import Fraction
 from repro.errors import AnalysisError
 from repro.cone.constraints import ModelConstraint
 from repro.geometry.halfspace import INEQUALITY, ConeConstraint
-from repro.linalg import as_fraction_vector, dot, scale_to_integers
+from repro.linalg import int_row, scale_to_integers
 from repro.lp import GE, MINIMIZE, LinearProgram, Status, solve
+from repro.lp.membership import is_farkas_certificate, rationalize
 
 
 def separating_constraint(model_cone, observation, backend="exact"):
@@ -61,29 +62,11 @@ def separating_constraint(model_cone, observation, backend="exact"):
 
     normal = [result.assignment[name] for name in names]
     if backend == "scipy":
-        normal = _rationalize(normal)
-        if normal is None or not _is_valid_certificate(model_cone, normal, vector):
+        normal = rationalize(normal)
+        if normal is None or not is_farkas_certificate(
+            normal, model_cone.signatures, int_row(vector)
+        ):
             return separating_constraint(model_cone, observation, backend="exact")
     constraint = ConeConstraint(scale_to_integers(normal), INEQUALITY)
     return ModelConstraint(constraint, model_cone.counters)
 
-
-def _rationalize(normal, max_denominator=10**6):
-    rational = []
-    for value in normal:
-        fraction = Fraction(value).limit_denominator(max_denominator)
-        rational.append(fraction)
-    if all(value == 0 for value in rational):
-        return None
-    return rational
-
-
-def _is_valid_certificate(model_cone, normal, vector):
-    """Exact re-verification of a (possibly rounded) certificate."""
-    normal = as_fraction_vector(normal)
-    if dot(normal, vector) >= 0:
-        return False
-    for signature in model_cone.signatures:
-        if dot(normal, as_fraction_vector(signature)) < 0:
-            return False
-    return True

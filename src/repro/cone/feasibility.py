@@ -12,25 +12,33 @@ Implements the linear program of Appendix A. The LP instantiates:
 A point observation is the degenerate case where the box has zero
 half-lengths in every direction — and degenerates further: the counter
 variables are pinned to the observed values, so
-:func:`test_point_feasibility` eliminates them and solves the reduced
-flow system ``S^T f = v, f >= 0`` directly. On the ``"scipy"`` backend
-the reduced system goes straight to ``scipy.optimize.linprog`` against a
-float signature matrix cached on the model cone, bypassing the LP
-modelling layer entirely.
+:func:`test_point_feasibility` eliminates them and asks whether ``v``
+lies in the cone of the signatures (``S^T f = v, f >= 0``) directly:
+
+* on the default ``"exact"`` backend through
+  :func:`repro.lp.membership.certified_membership`: HiGHS finds the
+  answer, integer arithmetic proves it (an exact non-negative flow, or
+  a Farkas ray), and the rational simplex re-solves anything that fails
+  its check — so "infeasible" verdicts are exact consequences of the
+  inputs;
+* on the ``"scipy"`` backend on the persistent HiGHS model cached on
+  the model cone (or one ``scipy.optimize.linprog`` call), with float
+  verdicts.
 
 :func:`test_points_feasibility` is the batched entry point: when the
 model's facet constraints have already been deduced, every observation
 is first screened against them with exact integer dot products — a facet
 violation is an exact refutation certificate, no LP needed — and only
-the survivors run the flow LP.
+the survivors run the flow LP, all on one HiGHS model built for the
+call.
 
-Feasibility answers come from the exact rational simplex by default, so
-"infeasible" verdicts are exact consequences of the inputs.
+Region observations (:func:`test_region_feasibility`) solve the full
+Appendix A LP on the chosen backend; their witnesses are LP output.
 """
 
 from fractions import Fraction
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, LPError
 from repro.lp import EQ, GE, LE, LinearProgram, Status, solve
 from repro.linalg import as_fraction_vector
 from repro.obs.trace import get_tracer
@@ -108,15 +116,13 @@ def _point_feasibility_scipy(model_cone, vector):
     model = model_cone.flow_model()
     if model is not None:
         with tracer.span("lp.solve", backend="highs_fast") as span:
-            status = model.solve([float(value) for value in vector])
+            status, flows = model.solve([float(value) for value in vector])
             if tracer.enabled:
                 tracer.metrics.histogram("lp.solve_seconds").observe(
                     span.duration
                 )
         if status == highs_fast.OPTIMAL:
-            return FeasibilityResult(
-                True, flows=model.solution(), witness=list(vector)
-            )
+            return FeasibilityResult(True, flows=flows, witness=list(vector))
         if status in (highs_fast.INFEASIBLE, highs_fast.UNBOUNDED):
             return FeasibilityResult(False)
         raise AnalysisError("HiGHS feasibility solve failed")
@@ -150,9 +156,18 @@ def test_point_feasibility(model_cone, observation, backend="exact"):
     ``observation`` is a counter-name mapping or an ordered sequence.
     The counter variables of the Appendix A LP are pinned by the
     observation, so the reduced system ``S^T f = v, f >= 0`` is solved
-    instead (identical verdicts, much smaller program).
+    instead (identical verdicts, much smaller program). On ``"exact"``
+    the verdict is certified (:mod:`repro.lp.membership`) and feasible
+    ``flows`` are exact, with ``S^T f = v`` and ``f >= 0``.
     """
     vector = model_cone.vector_from_observation(observation)
+    return _point_result(model_cone, vector, backend)
+
+
+def _point_result(model_cone, vector, backend, batch=None):
+    """Point feasibility of an aligned vector. ``batch`` is the call's
+    :class:`~repro.lp.membership.MembershipBatch` on ``"exact"`` (one is
+    made for this vector when absent)."""
     if any(value < 0 for value in vector):
         # Counters are non-negative (Appendix A); no flow can explain a
         # negative observation.
@@ -165,27 +180,15 @@ def test_point_feasibility(model_cone, observation, backend="exact"):
         )
     if backend == "scipy":
         return _point_feasibility_scipy(model_cone, vector)
-    lp = LinearProgram()
-    flow_names = []
-    for index in range(len(model_cone.signatures)):
-        name = "flow_%d" % index
-        lp.add_variable(name)
-        flow_names.append(name)
-    for coord in range(len(model_cone.counters)):
-        coefficients = {
-            flow_names[index]: Fraction(signature[coord])
-            for index, signature in enumerate(model_cone.signatures)
-            if signature[coord] != 0
-        }
-        if not coefficients:
-            if vector[coord] != 0:
-                return FeasibilityResult(False)
-            continue
-        lp.add_constraint(coefficients, EQ, vector[coord], name="flow_eq_%d" % coord)
-    result = solve(lp, backend=backend)
-    if result.status != Status.OPTIMAL:
+    if backend != "exact":
+        raise LPError("unknown LP backend %r" % (backend,))
+    if batch is None:
+        from repro.lp.membership import MembershipBatch
+
+        batch = MembershipBatch(model_cone.signatures)
+    feasible, flows = batch.test(vector)
+    if not feasible:
         return FeasibilityResult(False)
-    flows = [result.assignment[name] for name in flow_names]
     return FeasibilityResult(True, flows=flows, witness=list(vector))
 
 
@@ -259,14 +262,20 @@ def test_points_feasibility(model_cone, observations, backend="exact", screen="a
     """
     if screen not in ("auto", "always", "never"):
         raise AnalysisError("unknown screen mode %r" % (screen,))
-    observations = list(observations)
     vectors = [model_cone.vector_from_observation(o) for o in observations]
     constraints = None
     if screen == "always" or (screen == "auto" and model_cone.has_deduced_constraints()):
         constraints = model_cone.constraints()
+    batch = None
+    if backend == "exact":
+        from repro.lp.membership import MembershipBatch
+
+        # One HiGHS model for the call, built at the first cell that
+        # reaches an LP; never cached on the cone (see repro.lp.membership).
+        batch = MembershipBatch(model_cone.signatures)
     tracer = get_tracer()
     results = []
-    for observation, vector in zip(observations, vectors):
+    for vector in vectors:
         with tracer.span("cell.verdict", mode="point") as span:
             certificate = None
             if constraints is not None:
@@ -280,9 +289,7 @@ def test_points_feasibility(model_cone, observations, backend="exact", screen="a
                     FeasibilityResult(False, certificate=certificate)
                 )
                 continue
-            result = test_point_feasibility(
-                model_cone, vector, backend=backend
-            )
+            result = _point_result(model_cone, vector, backend, batch)
             span.set(feasible=result.feasible, screened=False)
             results.append(result)
     return results

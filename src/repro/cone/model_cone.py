@@ -7,6 +7,8 @@ couples the cone geometry with the counter-name ordering so that
 observations (dicts of counter name → value) can be tested directly.
 """
 
+import math
+
 from repro.errors import AnalysisError
 from repro.geometry import Cone
 from repro.linalg import as_fraction_vector
@@ -76,7 +78,8 @@ class ModelCone:
         ``observation`` may be a mapping (counter name → value) or a
         sequence already in counter order. Mappings must cover every
         counter; extra keys are an error (they indicate the model and
-        measurement disagree about scope).
+        measurement disagree about scope), and so is a non-finite value
+        (``nan``, ``inf``), which no flow can produce.
         """
         if isinstance(observation, dict):
             missing = [name for name in self.counters if name not in observation]
@@ -95,7 +98,15 @@ class ModelCone:
                     "observation has %d values for %d counters"
                     % (len(values), len(self.counters))
                 )
-        return as_fraction_vector(values)
+        try:
+            return as_fraction_vector(values)
+        except (ValueError, OverflowError):
+            for name, value in zip(self.counters, values):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise AnalysisError(
+                        "counter %r has a non-finite value %r" % (name, value)
+                    ) from None
+            raise
 
     # -- queries -----------------------------------------------------------
     @property

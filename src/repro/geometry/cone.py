@@ -20,14 +20,17 @@ This is mathematically equivalent to the paper's "convex hull of
 but avoids general convex-hull machinery.
 
 Generators are stored as gcd-reduced plain-int vectors (the integer fast
-path), and membership LPs can bypass the modelling layer entirely on the
-``"scipy"`` backend via a cached float matrix — the win that makes the
-interior-removal step of constraint deduction cheap.
+path). Exact membership is certified
+(:func:`repro.lp.membership.certified_membership`: HiGHS answers, integer
+arithmetic proves the answer, the rational simplex is the fallback). On
+the ``"scipy"`` backend membership LPs bypass the modelling layer
+entirely via a cached float matrix and HiGHS model — the win that makes
+the interior-removal step of constraint deduction cheap.
 """
 
 from fractions import Fraction
 
-from repro.errors import GeometryError
+from repro.errors import GeometryError, LPError
 from repro.geometry.double_description import extreme_rays
 from repro.geometry.halfspace import EQUALITY, INEQUALITY, ConeConstraint
 from repro.linalg import (
@@ -75,31 +78,6 @@ def coordinates_in_basis_many(basis, vectors):
             coords[pivot_col] = reduced[row_index][dim + offset]
         results.append(coords)
     return results
-
-
-def _membership_lp_exact(generators, point, backend):
-    """Does ``point`` lie in ``cone(generators)``? Direct LP build over
-    flow variables (no Cone construction)."""
-    from repro.lp import EQ, LinearProgram, Status, solve as lp_solve
-
-    lp = LinearProgram()
-    flow_names = []
-    for i in range(len(generators)):
-        name = "f%d" % i
-        lp.add_variable(name)
-        flow_names.append(name)
-    for coord in range(len(point)):
-        coefficients = {
-            flow_names[i]: generators[i][coord]
-            for i in range(len(generators))
-            if generators[i][coord] != 0
-        }
-        if not coefficients:
-            if point[coord] != 0:
-                return False
-            continue
-        lp.add_constraint(coefficients, EQ, point[coord])
-    return lp_solve(lp, backend=backend).status == Status.OPTIMAL
 
 
 def _membership_scipy(generator_array, point):
@@ -283,7 +261,8 @@ class Cone:
         return self._scipy_model
 
     def contains(self, point, backend="exact"):
-        """Exact membership test via a feasibility LP over flows."""
+        """Membership test via a feasibility LP over flows: certified
+        exact on ``"exact"``, float on ``"scipy"``."""
         from repro.lp import highs_fast
 
         point = as_fraction_vector(point)
@@ -297,27 +276,45 @@ class Cone:
         if backend == "scipy":
             model = self._feasibility_model()
             if model is not None:
-                status = model.solve([float(v) for v in point])
+                status, _ = model.solve(
+                    [float(v) for v in point], solution=False
+                )
                 if status == highs_fast.OPTIMAL:
                     return True
                 if status in (highs_fast.INFEASIBLE, highs_fast.UNBOUNDED):
                     return False
                 raise GeometryError("HiGHS membership solve failed")
             return _membership_scipy(self._generator_array(), point)
-        return _membership_lp_exact(self.generators, point, backend)
+        if backend != "exact":
+            raise LPError("unknown LP backend %r" % (backend,))
+        from repro.lp.membership import certified_membership
+
+        return certified_membership(self.generators, point)[0]
 
     def is_subset_of(self, other, backend="exact"):
-        """True iff every generator of ``self`` lies in ``other``."""
+        """True iff every generator of ``self`` lies in ``other``.
+
+        On ``"exact"`` one HiGHS model of ``other``, built for this
+        call, answers every generator's certified membership test.
+        """
         if self.ambient_dim != other.ambient_dim:
             raise GeometryError("dimension mismatch in cone comparison")
+        if backend == "exact":
+            from repro.lp.membership import MembershipBatch
+
+            batch = MembershipBatch(other.generators)
+            return all(batch.test(g)[0] for g in self.generators)
         return all(other.contains(g, backend=backend) for g in self.generators)
 
     def is_generator_redundant(self, index):
-        """Whether generator ``index`` lies in the cone of the others."""
+        """Whether generator ``index`` lies in the cone of the others
+        (certified exact membership)."""
+        from repro.lp.membership import certified_membership
+
         others = [g for i, g in enumerate(self.generators) if i != index]
         if not others:
             return False
-        return _membership_lp_exact(others, self.generators[index], "exact")
+        return certified_membership(others, self.generators[index])[0]
 
     def irredundant_generators(self, backend="exact"):
         """Generators with cone-interior members removed (Section 6,
@@ -344,21 +341,23 @@ class Cone:
             if model is not None:
                 kept_flags = [True] * len(self.generators)
                 n_kept = len(self.generators)
-                for i, candidate in enumerate(self.generators):
-                    if n_kept <= 1:
-                        break
-                    model.exclude_column(i)
-                    rhs = [float(v) for v in candidate]
-                    if model.solve(rhs) == highs_fast.OPTIMAL:
-                        kept_flags[i] = False  # redundant: stays pinned
-                        n_kept -= 1
-                    else:
-                        model.include_column(i)
-                # The model is shared with contains(): restore the
-                # pinned columns before handing it back.
-                for i, keep in enumerate(kept_flags):
-                    if not keep:
-                        model.include_column(i)
+                # The model is shared with contains(), possibly across
+                # threads: pin, solve and restore as one locked step.
+                with model.lock:
+                    for i, candidate in enumerate(self.generators):
+                        if n_kept <= 1:
+                            break
+                        model.exclude_column(i)
+                        rhs = [float(v) for v in candidate]
+                        status, _ = model.solve(rhs, solution=False)
+                        if status == highs_fast.OPTIMAL:
+                            kept_flags[i] = False  # redundant: stays pinned
+                            n_kept -= 1
+                        else:
+                            model.include_column(i)
+                    for i, keep in enumerate(kept_flags):
+                        if not keep:
+                            model.include_column(i)
                 return [
                     list(g)
                     for g, keep in zip(self.generators, kept_flags)
@@ -378,7 +377,9 @@ class Cone:
                     np.array(rest, dtype=float).T, candidate
                 )
             else:
-                member = _membership_lp_exact(rest, candidate, backend)
+                from repro.lp.membership import certified_membership
+
+                member = certified_membership(rest, candidate)[0]
             if member:
                 kept.pop(index)
             else:

@@ -272,24 +272,20 @@ def extreme_rays(inequalities, adjacency="bitset"):
 
 
 def cone_contains_point_by_rays(rays, point):
-    """Exact membership test of ``point`` in ``cone(rays)`` by solving the
-    non-negative combination system with RREF + sign checks.
+    """Exact membership test of ``point`` in ``cone(rays)`` by the
+    rational simplex on the membership LP
+    (:func:`repro.lp.membership.membership_lp`).
 
     Only used in tests and on small instances; the production membership
-    test is the LP in :mod:`repro.cone.feasibility`.
+    test is :func:`repro.lp.membership.certified_membership`.
     """
-    from repro.lp import EQ, LinearProgram, Status, solve as lp_solve
+    from repro.lp import Status, solve as lp_solve
+    from repro.lp.membership import membership_lp
 
     if not rays:
         return all(value == 0 for value in point)
-    lp = LinearProgram()
-    for i in range(len(rays)):
-        lp.add_variable("f%d" % i)
-    dim = len(point)
-    for coord in range(dim):
-        coefficients = {"f%d" % i: rays[i][coord] for i in range(len(rays))}
-        lp.add_constraint(coefficients, EQ, point[coord])
-    return lp_solve(lp).status == Status.OPTIMAL
+    built = membership_lp(rays, point)
+    return built is not None and lp_solve(built[0]).status == Status.OPTIMAL
 
 
 __all__ = ["extreme_rays", "cone_contains_point_by_rays"]

@@ -18,6 +18,10 @@ its own solver stack:
   the hot loops that re-solve one matrix against many right-hand sides
   (batched point feasibility, generator interior removal); falls back
   to ``linprog`` when scipy's private HiGHS bindings are unavailable,
+* :mod:`repro.lp.membership` — certified exact cone membership, the
+  ``"exact"`` backend's point verdicts: HiGHS finds the answer, integer
+  arithmetic proves it (an exact flow or a Farkas ray), and the simplex
+  re-solves anything the proof rejects,
 * :func:`repro.lp.solve` — the dispatching entry point.
 """
 

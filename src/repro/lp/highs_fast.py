@@ -15,8 +15,19 @@ This module talks to the HiGHS bindings that ship *inside* scipy
 degrades gracefully: :func:`make_feasibility_model` returns ``None``
 when the bindings are missing or their surface changed, and callers fall
 back to ``linprog``. Verdict semantics are identical to the ``"scipy"``
-LP backend (floating point; exactness is the caller's concern).
+LP backend (floating point; exactness is the caller's concern — the
+``"exact"`` backend proves each answer in integer arithmetic, see
+:mod:`repro.lp.membership`).
+
+A HiGHS handle is not thread-safe: two threads re-solving one model at
+once crash the process. Each :class:`FeasibilityModel` therefore carries
+a re-entrant :attr:`~FeasibilityModel.lock`; :meth:`~FeasibilityModel.solve`
+holds it while it rebinds, runs and reads the solution, and callers that
+need several calls to act as one (pin a column, solve, unpin) hold it
+across them.
 """
+
+import threading
 
 import numpy as np
 
@@ -52,6 +63,10 @@ class FeasibilityModel:
 
     Use :func:`make_feasibility_model`, which returns ``None`` when the
     HiGHS bindings are unavailable.
+
+    :attr:`lock` serialises every use of the underlying handle; hold it
+    across a sequence of calls that must not interleave with another
+    thread's (it is re-entrant, so the calls themselves may take it).
     """
 
     def __init__(self, matrix):
@@ -59,6 +74,7 @@ class FeasibilityModel:
         n_rows, n_cols = matrix.shape
         self.n_rows = n_rows
         self.n_cols = n_cols
+        self.lock = threading.RLock()
         self._solver = _core._Highs()
         self._solver.setOptionValue("output_flag", False)
         self._infinity = self._solver.getInfinity()
@@ -82,37 +98,61 @@ class FeasibilityModel:
 
     def exclude_column(self, index):
         """Pin variable ``index`` to zero (remove its generator)."""
-        self._solver.changeColBounds(index, 0.0, 0.0)
+        with self.lock:
+            self._solver.changeColBounds(index, 0.0, 0.0)
 
     def include_column(self, index):
         """Restore variable ``index`` to ``[0, inf)``."""
-        self._solver.changeColBounds(index, 0.0, self._infinity)
+        with self.lock:
+            self._solver.changeColBounds(index, 0.0, self._infinity)
 
-    def solve(self, rhs):
+    def solve(self, rhs, solution=True):
         """Feasibility of ``A x = rhs`` under the current column bounds.
 
-        Returns one of :data:`OPTIMAL`, :data:`INFEASIBLE`,
-        :data:`UNBOUNDED`, :data:`ERROR`.
+        Returns ``(status, values)``: ``status`` is one of
+        :data:`OPTIMAL`, :data:`INFEASIBLE`, :data:`UNBOUNDED`,
+        :data:`ERROR`, and ``values`` the primal solution when
+        :data:`OPTIMAL` and ``solution`` is true, else ``None``. Both are
+        read under :attr:`lock`, so the solution is the one this call
+        produced. Membership tests that need only the status pass
+        ``solution=False`` and skip copying one value per column.
         """
-        solver = self._solver
-        for row, value in enumerate(rhs):
-            solver.changeRowBounds(row, float(value), float(value))
-        solver.run()
-        status = solver.getModelStatus()
-        if status == _core.HighsModelStatus.kOptimal:
-            return OPTIMAL
+        with self.lock:
+            solver = self._solver
+            for row, value in enumerate(rhs):
+                solver.changeRowBounds(row, float(value), float(value))
+            solver.run()
+            status = solver.getModelStatus()
+            if status == _core.HighsModelStatus.kOptimal:
+                if not solution:
+                    return OPTIMAL, None
+                return OPTIMAL, list(solver.getSolution().col_value)
         if status in (
             _core.HighsModelStatus.kInfeasible,
             _core.HighsModelStatus.kUnboundedOrInfeasible,
         ):
-            return INFEASIBLE
+            return INFEASIBLE, None
         if status == _core.HighsModelStatus.kUnbounded:
-            return UNBOUNDED
-        return ERROR
+            return UNBOUNDED, None
+        return ERROR, None
 
-    def solution(self):
-        """Primal values after an :data:`OPTIMAL` :meth:`solve`."""
-        return list(self._solver.getSolution().col_value)
+    def dual_ray(self):
+        """HiGHS's Farkas ray (one value per row) after an
+        :data:`INFEASIBLE` :meth:`solve`, or ``None`` when HiGHS has
+        none or the binding's ``getDualRay`` has an unexpected shape.
+
+        Hold :attr:`lock` across the solve and this call when the model
+        is shared.
+        """
+        with self.lock:
+            try:
+                status, has_ray, ray = self._solver.getDualRay()
+            except (TypeError, ValueError):
+                return None
+        if status == _core.HighsStatus.kError or not has_ray:
+            return None
+        ray = list(ray)
+        return ray if len(ray) == self.n_rows else None
 
 
 def make_feasibility_model(matrix):

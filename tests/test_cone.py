@@ -177,6 +177,26 @@ class TestPointFeasibility:
         assert not result.feasible
         assert result.flows is None
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_counter_is_named(self, initial_cone, value):
+        with pytest.raises(AnalysisError, match="load.pde\\$_miss"):
+            point_feasibility(
+                initial_cone, {"load.causes_walk": 4, "load.pde$_miss": value}
+            )
+        with pytest.raises(AnalysisError, match="non-finite"):
+            point_feasibility(initial_cone, [value, 1])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_counter_in_a_sweep(self, initial_cone, value):
+        from repro.pipeline import CounterPoint
+
+        observations = [
+            {"load.causes_walk": 4, "load.pde$_miss": 1},
+            {"load.causes_walk": value, "load.pde$_miss": 1},
+        ]
+        with pytest.raises(AnalysisError, match="load.causes_walk"):
+            CounterPoint().sweep(initial_cone, observations)
+
     def test_refined_model_accepts_violation(self, refined_cone):
         # The Figure 6 resolution: pde$_miss > causes_walk feasible there.
         result = point_feasibility(

@@ -1,5 +1,8 @@
 """Unit and property tests for the LP layer (exact simplex + HiGHS)."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -214,6 +217,74 @@ class TestScipyBackend:
         lp = make_lp(["x"], [])
         with pytest.raises(LPError):
             solve(lp, backend="mystery")
+
+
+REPO_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+#: Four threads share persistent HiGHS models: two re-solve one
+#: ``ModelCone``'s flow model; one runs a ``Cone``'s interior removal
+#: (pin a column, solve, unpin) while the fourth asks the same model
+#: about a point that needs the column being pinned. Without the model's
+#: lock this crashes the interpreter or returns wrong verdicts.
+_SHARED_MODEL_HAMMER = """
+import sys, threading
+from repro.cone import ModelCone, test_point_feasibility
+from repro.geometry import Cone
+
+sys.setswitchinterval(1e-5)
+calls = int(sys.argv[1])
+cone = ModelCone(["a", "b", "c"], [(1, 0, 1), (0, 1, 1), (1, 1, 0)])
+square = Cone([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+wrong = []
+
+def verdicts(point, expected):
+    for _ in range(calls):
+        try:
+            verdict = test_point_feasibility(cone, point, backend="scipy").feasible
+        except Exception as error:
+            verdict = error
+        if verdict != expected:
+            wrong.append(verdict)
+
+def removal():
+    for _ in range(calls // 10):
+        kept = square.irredundant_generators(backend="scipy")
+        if len(kept) != 3:
+            wrong.append(kept)
+
+def membership():
+    for _ in range(calls):
+        if square.contains([1, 0, 1], backend="scipy") is not True:
+            wrong.append("contains")
+
+threads = [
+    threading.Thread(target=verdicts, args=([2, 2, 2], True)),
+    threading.Thread(target=verdicts, args=([5, 0, 0], False)),
+    threading.Thread(target=removal),
+    threading.Thread(target=membership),
+]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=240)
+alive = sum(thread.is_alive() for thread in threads)
+print("alive=%d wrong=%d" % (alive, len(wrong)))
+"""
+
+
+class TestHighsFastThreads:
+    def test_shared_models_survive_four_threads(self):
+        """A segfault kills only the subprocess and fails this test."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", _SHARED_MODEL_HAMMER, "3000"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "alive=0 wrong=0", completed.stdout
 
 
 # ---------------------------------------------------------------------------

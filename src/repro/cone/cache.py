@@ -89,9 +89,10 @@ class ModelConeCache:
     between threads (the serve daemon runs concurrent jobs against one
     pipeline); sharing across :class:`CounterPoint` instances is safe
     because cached cones are treated as immutable by all callers. The
-    *disk* tier (:class:`repro.cone.diskcache.DiskConeCache`) is safe
-    to share between concurrent processes — pool workers warming one
-    directory each publish entries atomically.
+    *disk* tier (:class:`repro.cone.diskcache.DiskConeCache`, JSON
+    entries in ``<cache_dir>/cones/``) is safe to share between
+    concurrent processes — pool workers warming one directory each
+    publish entries atomically.
 
     Parameters
     ----------
@@ -102,7 +103,8 @@ class ModelConeCache:
         or a directory path to build one over, or ``None`` (memory
         only). Lookup order is memory → disk → build; builds and
         memory-tier misses that hit disk both populate the memory tier,
-        and builds are published to disk.
+        and builds are published to disk (again once deduced, so the
+        constraints persist too).
     """
 
     def __init__(self, maxsize=128, disk=None):

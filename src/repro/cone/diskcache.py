@@ -3,278 +3,122 @@
 The in-process :class:`~repro.cone.cache.ModelConeCache` dies with the
 process, so every fresh run — a new CLI invocation, a new CI job, a new
 pool worker — pays µpath enumeration and (worse) constraint deduction
-again. This module stores pickled :class:`~repro.cone.model_cone.
-ModelCone` objects in a directory, content-addressed by the same
-canonical µDD fingerprint the memory tier uses, so a cone is computed
-once per model *ever* and shared between concurrent processes.
+again. This module keeps :class:`~repro.cone.model_cone.ModelCone`
+objects on disk, content-addressed by the same canonical µDD
+fingerprint the memory tier uses, so a cone is computed once per model
+*ever* and shared between concurrent processes.
 
-Design points:
-
-* **Atomic writes.** Entries are written to a temporary file in the
-  cache directory and published with :func:`os.replace`, which is atomic
-  on POSIX and Windows within one filesystem. Two processes warming the
-  same directory concurrently can only ever race whole files — a reader
-  sees either nothing or a complete entry, never a torn one.
-* **Version-stamped entries.** Each payload records
-  :data:`CACHE_FORMAT_VERSION` and the entry's own key. A mismatch (an
-  old cache directory read by a newer repro, or vice versa) is treated
-  as a miss and the stale file is removed — never a crash.
-* **Corruption tolerance.** Any unpickling failure — truncated file,
-  foreign bytes, a class that moved — degrades to a miss and recompute.
-* **LRU size cap.** File mtimes double as recency; after each write the
-  directory is pruned oldest-first down to ``max_bytes``. Recency
-  stamps are ratcheted per instance (never below the last stamp this
-  process wrote), so a backwards wall-clock step cannot reorder this
-  process's own recency and evict the wrong entries.
+:class:`DiskConeCache` is a JSON codec over an
+:class:`~repro.results.store.ArtifactStore` that owns
+``<cache_dir>/cones/``; atomic publication, version envelopes, the LRU
+byte cap and stale-temp sweeping are the store's. A cone entry holds
+plain data — name, counters, integer signatures, multiplicities and
+the deduced constraints' coprime integer normals — so the round trip
+is exact and reading a cache directory never runs code. A payload that
+fails to decode (a foreign shape, a negative count, a malformed
+constraint) is discarded and recomputed — never a crash. Entries from
+before :data:`CACHE_FORMAT_VERSION` 2 (``*.conepkl`` pickles in
+``cache_dir`` itself) are never opened.
 """
 
 import os
-import pickle
-import tempfile
-import time
 
-from repro.errors import AnalysisError
-from repro.obs.trace import get_tracer
+from repro.cone.constraints import ConstraintSet, ModelConstraint
+from repro.cone.model_cone import ModelCone
 
-#: Bump when the on-disk payload layout or the pickled classes change
-#: incompatibly; old entries are then recomputed instead of trusted.
-CACHE_FORMAT_VERSION = 1
+#: Bump when the cone payload layout changes incompatibly; old entries
+#: are then recomputed instead of trusted.
+CACHE_FORMAT_VERSION = 2
 
-_ENTRY_SUFFIX = ".conepkl"
+_KIND = "cone"
 
-#: Unpublished temp files older than this are garbage from a process
-#: that died mid-write; prune() sweeps them.
-_STALE_TMP_SECONDS = 600.0
+
+def _encode(cone):
+    constraints = None
+    if cone.has_deduced_constraints():
+        constraints = [item.to_dict() for item in cone.constraints()]
+    return {
+        "name": cone.name,
+        "counters": list(cone.counters),
+        "signatures": [list(signature) for signature in cone.signatures],
+        "multiplicities": cone.multiplicities,
+        "constraints": constraints,
+    }
+
+
+def _decode(payload):
+    """The cone a payload encodes; raises on anything malformed."""
+    signatures = payload["signatures"]
+    if not all(type(entry) is int for row in signatures for entry in row):
+        raise ValueError("cone signatures must be integer rows")
+    cone = ModelCone(
+        payload["counters"],
+        signatures,
+        name=payload["name"],
+        multiplicities=payload["multiplicities"],
+    )
+    if payload["constraints"] is not None:
+        constraints = [
+            ModelConstraint.from_dict(item) for item in payload["constraints"]
+        ]
+        if any(item.counters != cone.counters for item in constraints):
+            raise ValueError("constraint counters differ from the cone's")
+        cone._constraints = ConstraintSet(constraints, cone.counters)
+    return cone
 
 
 class DiskConeCache:
-    """Content-addressed directory of pickled model cones.
+    """Content-addressed directory of model cones.
 
     Parameters
     ----------
     cache_dir:
-        Directory to store entries in (created if missing). Safe to
-        share between concurrent processes and across runs.
+        Directory to keep cones under (created if missing); the entries
+        live in its ``cones/`` subdirectory. Safe to share between
+        concurrent processes and across runs.
     max_bytes:
-        LRU size cap for the directory; pruned after each write.
-        ``None`` disables pruning.
+        LRU size cap for the cone directory; ``None`` disables pruning.
     version:
         Format stamp for entries (overridable for tests); entries
         carrying any other stamp are recomputed.
+
+    ``store`` is the underlying :class:`~repro.results.store.
+    ArtifactStore`, for maintenance (``prune``, ``clear``, ``len``,
+    ``evictions``).
     """
 
     def __init__(self, cache_dir, max_bytes=256 * 1024 * 1024,
                  version=CACHE_FORMAT_VERSION):
-        if max_bytes is not None and max_bytes <= 0:
-            raise AnalysisError("disk cache max_bytes must be positive")
+        # repro.results imports repro.cone (through the session), so
+        # the store cannot be imported at module level.
+        from repro.results.store import ArtifactStore
+
         self.cache_dir = os.fspath(cache_dir)
-        self.max_bytes = max_bytes
-        self.version = version
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        # Highest recency stamp this instance has written; _touch
-        # ratchets against it so recency stays strictly increasing even
-        # if the wall clock steps backwards (NTP, VM migration).
-        self._recency_clock = 0.0
-        os.makedirs(self.cache_dir, exist_ok=True)
-
-    # -- key/path plumbing -------------------------------------------------
-    def _path(self, key):
-        fingerprint, max_paths = key
-        return os.path.join(
-            self.cache_dir, "%s-%d%s" % (fingerprint, max_paths, _ENTRY_SUFFIX)
+        self.store = ArtifactStore(
+            os.path.join(self.cache_dir, "cones"),
+            max_bytes=max_bytes,
+            version=version,
         )
+        self.hits = 0
 
-    # -- entry I/O ---------------------------------------------------------
     def get(self, key):
-        """The cached cone for ``key``, or ``None``.
-
-        Every failure mode — missing file, version mismatch, truncated
-        or corrupt pickle — counts as a miss so callers always fall back
-        to recomputing. The mtime of a hit entry is refreshed so LRU
-        pruning tracks use, not just creation.
-        """
-        path = self._path(key)
+        """The cached cone for ``key`` (``(fingerprint, max_paths)``),
+        or ``None``: a missing, stale or undecodable entry is a miss."""
+        entry = "%s-%d" % tuple(key)
+        payload = self.store.get(_KIND, entry)
+        if payload is None:
+            return None
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            self._miss()
-            return None
+            cone = _decode(payload)
         except Exception:
-            # Torn write from a dead process, foreign bytes, moved
-            # classes: recompute rather than crash, and drop the file.
-            self._discard(path)
-            self._miss()
+            self.store.discard(_KIND, entry)
             return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != self.version
-            or payload.get("key") != tuple(key)
-        ):
-            self._discard(path)
-            self._miss()
-            return None
-        self._touch(path)
         self.hits += 1
-        tracer = get_tracer()
-        if tracer.enabled:
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                size = 0
-            tracer.event("cache.hit", tier="cone", bytes=size)
-            tracer.metrics.counter("cache.cone.hits").inc()
-            tracer.metrics.counter("cache.cone.bytes_read").inc(size)
-        return payload["cone"]
-
-    def _miss(self):
-        self.misses += 1
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("cache.miss", tier="cone")
-            tracer.metrics.counter("cache.cone.misses").inc()
+        return cone
 
     def put(self, key, cone):
-        """Atomically publish ``cone`` under ``key`` and prune to cap."""
-        payload = {"version": self.version, "key": tuple(key), "cone": cone}
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=self.cache_dir, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(data)
-            os.replace(temp_path, self._path(key))
-        except BaseException:
-            self._discard(temp_path)
-            raise
-        self._touch(self._path(key))
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("cache.write", tier="cone", bytes=len(data))
-            tracer.metrics.counter("cache.cone.writes").inc()
-            tracer.metrics.counter("cache.cone.bytes_written").inc(len(data))
-        self.prune()
-
-    def __contains__(self, key):
-        return os.path.exists(self._path(key))
-
-    def __len__(self):
-        return len(self._entries())
-
-    # -- maintenance -------------------------------------------------------
-    def _entries(self):
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
-            return []
-        return [
-            os.path.join(self.cache_dir, name)
-            for name in names
-            if name.endswith(_ENTRY_SUFFIX)
-        ]
-
-    def total_bytes(self):
-        """Bytes currently used by cache entries."""
-        total = 0
-        for path in self._entries():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
-
-    def _temp_files(self):
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
-            return []
-        return [
-            os.path.join(self.cache_dir, name)
-            for name in names
-            if name.endswith(".tmp")
-        ]
-
-    def _sweep_stale_temps(self, max_age=_STALE_TMP_SECONDS):
-        """Remove temp files abandoned by processes killed mid-write.
-
-        Only files older than ``max_age`` go: a *young* temp file may
-        belong to a concurrent writer that is about to publish it.
-        """
-        now = time.time()
-        for path in self._temp_files():
-            try:
-                if now - os.stat(path).st_mtime >= max_age:
-                    self._discard(path)
-            except OSError:
-                continue
-
-    def prune(self):
-        """Evict least-recently-used entries until under ``max_bytes``
-        (and sweep temp files orphaned by dead writers)."""
-        self._sweep_stale_temps()
-        if self.max_bytes is None:
-            return
-        stats = []
-        for path in self._entries():
-            try:
-                info = os.stat(path)
-            except OSError:
-                continue
-            stats.append((info.st_mtime, info.st_size, path))
-        total = sum(size for _, size, _ in stats)
-        if total <= self.max_bytes:
-            return
-        stats.sort()  # oldest mtime first
-        tracer = get_tracer()
-        for _, size, path in stats:
-            if total <= self.max_bytes:
-                break
-            if self._discard(path):
-                self.evictions += 1
-                total -= size
-                if tracer.enabled:
-                    tracer.event(
-                        "cache.evict", tier="cone",
-                        entry=os.path.basename(path), bytes=size,
-                    )
-                    tracer.metrics.counter("cache.cone.evictions").inc()
-
-    def clear(self):
-        """Remove every entry and temp file (counters are kept)."""
-        for path in self._entries():
-            self._discard(path)
-        self._sweep_stale_temps(max_age=0.0)
-
-    def _touch(self, path):
-        # Recency must be monotonic within this instance: a plain
-        # os.utime uses the wall clock, which can step backwards and
-        # make a just-used entry look LRU-oldest. Ratchet the stamp so
-        # every touch/publish orders after the previous one.
-        stamp = max(time.time(), self._recency_clock + 1e-6)
-        self._recency_clock = stamp
-        try:
-            os.utime(path, (stamp, stamp))
-        except OSError:
-            pass
-
-    @staticmethod
-    def _discard(path):
-        try:
-            os.unlink(path)
-            return True
-        except OSError:
-            return False
-
-    def __repr__(self):
-        return "DiskConeCache(%r, %d entries, %d hits, %d misses)" % (
-            self.cache_dir,
-            len(self),
-            self.hits,
-            self.misses,
-        )
+        """Publish ``cone`` (with its constraints, once deduced)."""
+        self.store.put(_KIND, "%s-%d" % tuple(key), _encode(cone))
 
 
 __all__ = ["CACHE_FORMAT_VERSION", "DiskConeCache"]

@@ -184,10 +184,11 @@ class ModelCone:
     def __getstate__(self):
         """Pickle everything except process-local accelerators.
 
-        The persistent HiGHS flow model wraps a C++ handle and cannot
-        cross process or disk boundaries; the float signature array is
-        cheap to rebuild. Deduced constraints *are* kept — they are the
-        expensive artefact the on-disk cache exists to preserve.
+        The process pool pickles cones between its own processes. The
+        persistent HiGHS flow model wraps a C++ handle and cannot cross
+        a process boundary; the float signature array is cheap to
+        rebuild. Deduced constraints *are* kept — they are the
+        expensive artefact a worker should not recompute.
         """
         state = dict(self.__dict__)
         state["_flow_model"] = None

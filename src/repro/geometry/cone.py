@@ -150,8 +150,8 @@ class Cone:
 
     def __getstate__(self):
         # The persistent HiGHS model wraps a C++ handle that cannot
-        # cross pickle boundaries (process pools, the on-disk cone
-        # cache); it and the float matrix are lazily rebuilt on use.
+        # cross the process pool's pickle boundary; it and the float
+        # matrix are lazily rebuilt on use.
         state = dict(self.__dict__)
         state["_scipy_matrix"] = None
         state["_scipy_model"] = None

@@ -2,7 +2,7 @@
 
 The analysis stack is instrumented end to end — plan engine ops,
 scheduler dispatch, session verdict outcomes, LP solves, cone
-deduction, µDD simulation, and both cache tiers — against the
+deduction, µDD simulation, and the on-disk store — against the
 process-wide *active tracer*, which is disabled by default and costs
 one attribute check per instrumentation point when off. Turn it on
 with ``CounterPoint(trace=True)``, ``--trace FILE`` on any CLI

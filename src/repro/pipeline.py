@@ -64,14 +64,16 @@ class CounterPoint:
         — same seeds, same ordering, same verdicts (see
         :mod:`repro.parallel`).
     cache_dir:
-        Directory for the persistent tiers: the on-disk cone cache
-        (:mod:`repro.cone.diskcache`; cones and their deduced
+        Directory for the persistent tiers, two JSON
+        :class:`~repro.results.store.ArtifactStore` subdirectories:
+        the on-disk cone cache (``<cache_dir>/cones`` —
+        :mod:`repro.cone.diskcache`; cones and their deduced
         constraints computed once per model *ever*) and the session's
-        verdict artifact store (``<cache_dir>/artifacts`` — see
-        :mod:`repro.results.store`), both shared between pipelines,
-        processes and runs. Requires the default ``cache=True`` (to
-        combine a custom cache with a disk tier, pass
-        ``cache=ModelConeCache(disk=cache_dir)`` instead).
+        verdict store (``<cache_dir>/artifacts``), both shared between
+        pipelines, processes and runs. Nothing else in the directory
+        is read, pruned or deleted. Requires the default
+        ``cache=True`` (to combine a custom cache with a disk tier,
+        pass ``cache=ModelConeCache(disk=cache_dir)`` instead).
     sim_backend:
         Simulation engine for :meth:`simulate` /
         :meth:`simulate_dataset` (and plan ops that simulate):

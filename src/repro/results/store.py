@@ -1,17 +1,32 @@
-"""A small content-addressed JSON artifact store.
+"""The content-addressed JSON store: the one on-disk cache in repro.
 
-This generalizes the :class:`repro.cone.diskcache.DiskConeCache`
-pattern — atomic ``os.replace`` publication, version-stamped envelopes,
-corruption-tolerant reads, LRU byte cap — from "pickled model cones"
-to "any JSON result schema". It is the persistent tier behind
-:class:`~repro.results.session.AnalysisSession`'s verdict memo: one
-artifact per (kind, content key), safe to share between concurrent
-processes and across runs.
+Every persistent cache tier goes through :class:`ArtifactStore`:
+session verdicts and reports (:class:`~repro.results.session.
+AnalysisSession`, under ``<cache_dir>/artifacts``) and model cones
+(:class:`~repro.cone.diskcache.DiskConeCache`, under
+``<cache_dir>/cones``). One artifact per (kind, content key), safe to
+share between concurrent processes and across runs:
 
-Artifacts are JSON, not pickle, on purpose: they are the same stable
-schemas the :mod:`repro.results` types emit, so a store directory is
-readable by anything (a dashboard, ``jq``, a future service) and
-survives class moves and refactors that would orphan pickles.
+* **Atomic writes.** Entries go to a temporary file in the root and are
+  published with :func:`os.replace`, so a reader sees either nothing or
+  a complete entry, never a torn one.
+* **Version-stamped envelopes** echoing their own kind and key; any
+  mismatch, torn or foreign bytes degrade to a miss, never a crash.
+* **Best-effort writes.** A store only saves time, so a failed write (a
+  full disk, a vanished directory) drops the entry and the caller
+  carries on with the value it computed.
+* **LRU byte cap.** File mtimes double as recency; :meth:`prune` evicts
+  oldest-first and sweeps temp files and claim markers left by dead
+  processes.
+
+A store owns its root: it counts, evicts and sweeps every ``*.json``,
+``*.tmp`` and ``*.claim`` file there, so it must be rooted at a
+directory of its own, never at one a user chose.
+
+Artifacts are JSON, not pickle, on purpose: reading a cache directory
+never runs code, the payloads are the stable schemas the
+:mod:`repro.results` types emit (readable by ``jq``, a dashboard or a
+future service), and they survive class moves and refactors.
 """
 
 import hashlib
@@ -52,8 +67,8 @@ class ArtifactStore:
     Parameters
     ----------
     root:
-        Directory to store artifacts in (created if missing). Safe to
-        share between concurrent processes and across runs.
+        Directory the store owns (created if missing). Safe to share
+        between concurrent processes and across runs.
     max_bytes:
         LRU size cap for the directory, pruned after each write;
         ``None`` disables pruning.
@@ -95,7 +110,9 @@ class ArtifactStore:
         return content_key(*parts)
 
     def _path(self, kind, key):
-        if not kind or any(ch in kind for ch in "/\\."):
+        # Entry names are "<kind>-<key>.json", and eviction reads the
+        # kind back from the name, so a kind is one bare label.
+        if not kind or any(ch in kind for ch in "/\\.-"):
             raise AnalysisError("artifact kind must be a bare label, got %r" % (kind,))
         return os.path.join(self.root, "%s-%s%s" % (kind, key, _ENTRY_SUFFIX))
 
@@ -138,9 +155,9 @@ class ArtifactStore:
                 size = os.path.getsize(path)
             except OSError:
                 size = 0
-            tracer.event("cache.hit", tier="artifact", kind=kind, bytes=size)
-            tracer.metrics.counter("cache.artifact.hits").inc()
-            tracer.metrics.counter("cache.artifact.bytes_read").inc(size)
+            tracer.event("cache.hit", tier=kind, bytes=size)
+            tracer.metrics.counter("cache.%s.hits" % kind).inc()
+            tracer.metrics.counter("cache.%s.bytes_read" % kind).inc(size)
         return envelope["payload"]
 
     def _miss(self, kind):
@@ -148,12 +165,17 @@ class ArtifactStore:
             self.misses += 1
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.event("cache.miss", tier="artifact", kind=kind)
-            tracer.metrics.counter("cache.artifact.misses").inc()
+            tracer.event("cache.miss", tier=kind)
+            tracer.metrics.counter("cache.%s.misses" % kind).inc()
 
     def put(self, kind, key, payload):
         """Atomically publish ``payload`` (a JSON-serializable dict)
-        under ``(kind, key)`` and prune to the byte cap."""
+        under ``(kind, key)`` and prune to the byte cap.
+
+        An :class:`OSError` while writing (a full disk, a vanished
+        directory) publishes nothing and leaves no temp file: the entry
+        is simply not cached.
+        """
         envelope = {
             "version": self.version,
             "kind": kind,
@@ -161,23 +183,36 @@ class ArtifactStore:
             "payload": payload,
         }
         data = json.dumps(envelope, sort_keys=True).encode("utf-8")
-        descriptor, temp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        path = self._path(kind, key)
+        temp_path = None
         try:
+            descriptor, temp_path = tempfile.mkstemp(
+                dir=self.root, suffix=".tmp"
+            )
             with os.fdopen(descriptor, "wb") as handle:
                 handle.write(data)
-            os.replace(temp_path, self._path(kind, key))
-        except BaseException:
-            self._discard(temp_path)
-            raise
-        self._touch(self._path(kind, key))
+            os.replace(temp_path, path)
+        except BaseException as error:
+            if temp_path is not None:
+                self._discard(temp_path)
+            if not isinstance(error, OSError):
+                raise
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "cache.write_error", tier=kind, errno=error.errno
+                )
+                tracer.metrics.counter(
+                    "cache.%s.write_errors" % kind
+                ).inc()
+            return
+        self._touch(path)
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.event(
-                "cache.write", tier="artifact", kind=kind, bytes=len(data)
-            )
-            tracer.metrics.counter("cache.artifact.writes").inc()
+            tracer.event("cache.write", tier=kind, bytes=len(data))
+            tracer.metrics.counter("cache.%s.writes" % kind).inc()
             tracer.metrics.counter(
-                "cache.artifact.bytes_written"
+                "cache.%s.bytes_written" % kind
             ).inc(len(data))
         if self.max_bytes is None:
             return
@@ -325,12 +360,13 @@ class ArtifactStore:
                 self.evictions += 1
                 total -= size
                 if tracer.enabled:
+                    entry = os.path.basename(path)
+                    kind = entry.split("-", 1)[0]
                     tracer.event(
-                        "cache.evict", tier="artifact",
-                        entry=os.path.basename(path), bytes=size,
+                        "cache.evict", tier=kind, entry=entry, bytes=size,
                     )
                     tracer.metrics.counter(
-                        "cache.artifact.evictions"
+                        "cache.%s.evictions" % kind
                     ).inc()
         self._approx_bytes = total
 

@@ -19,8 +19,8 @@ Layer map
   closures (:data:`BACKENDS`, :func:`resolve_backend`).
 * :mod:`repro.sim.codegen` — the codegen backend: emits specialised
   Python source per µDD (inlined branch dispatch, no per-edge dict
-  lookups), cached in-process and optionally on disk by µDD fingerprint
-  (:class:`CodegenDiskCache`, :func:`configure_codegen_cache`).
+  lookups), memoized in-process by µDD fingerprint and never stored on
+  disk.
 * :mod:`repro.sim.oracles` — decision resolvers: seeded
   :class:`RandomOracle`, scripted :class:`TableOracle`, and the
   device-backed :class:`MMUOracle` that answers the Haswell model
@@ -51,7 +51,6 @@ Quick start::
 """
 
 from repro.sim.batch import BatchResult, batch_simulate, expected_totals, path_distribution
-from repro.sim.codegen import CodegenDiskCache, configure_codegen_cache
 from repro.sim.engines import BACKENDS, resolve_backend
 from repro.sim.executor import CompiledMuDD, MuDDExecutor
 from repro.sim.noise import default_multiplexer, noisy_samples, simulate_interval_matrix
@@ -67,7 +66,6 @@ from repro.sim.scenarios import (
 __all__ = [
     "BACKENDS",
     "BatchResult",
-    "CodegenDiskCache",
     "CompiledMuDD",
     "MMUOracle",
     "MuDDExecutor",
@@ -78,7 +76,6 @@ __all__ = [
     "as_mudd",
     "batch_simulate",
     "closed_loop",
-    "configure_codegen_cache",
     "default_multiplexer",
     "expected_totals",
     "noisy_samples",

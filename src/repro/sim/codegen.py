@@ -10,15 +10,11 @@ per µop, no per-edge dict lookups. Leaf buckets flush with one
 ``counts @ leaf_deltas`` multiply, exactly like the vector engine's
 macro-edge buckets.
 
-Generated programs are content-addressed by the µDD fingerprint
+Generated programs are memoized in-process by the µDD fingerprint
 (:func:`repro.cone.cache.mudd_fingerprint` over the µDD plus counter
-ordering) in two tiers mirroring :class:`~repro.cone.diskcache.
-DiskConeCache`: an in-process memo of compiled code objects, and an
-optional on-disk :class:`CodegenDiskCache` of JSON payloads (source +
-leaf tables) with atomic writes, version stamps, corruption-as-miss,
-and LRU pruning. Point the disk tier somewhere with
-:func:`configure_codegen_cache` or the ``REPRO_CODEGEN_CACHE``
-environment variable.
+ordering) as compiled code objects. They are never written to or read
+from disk: regenerating one costs well under a second even for the
+largest models, and nothing read from a cache directory may run code.
 
 The tree form only runs when it provably cannot trip the ``max_steps``
 valve (``max_path_len <= max_steps``) and the tree stays under the
@@ -27,23 +23,10 @@ pathological fan-out, tight step bounds — falls back to the inherited
 vector walk, which is bit-for-bit the interpreter.
 """
 
-import json
-import os
-import tempfile
-import time
-
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs.trace import get_tracer
-from repro.sim.engines import VectorEngine, hooks_are_noops
-
-#: Bump when the generated-source contract or payload layout changes;
-#: old disk entries are then regenerated instead of trusted.
-CODEGEN_FORMAT_VERSION = 1
-
-_ENTRY_SUFFIX = ".codegen.json"
-_STALE_TMP_SECONDS = 600.0
+from repro.sim.engines import VectorEngine
 
 #: Expansion caps: beyond these the unrolled tree stops paying for
 #: itself (and deep nesting strains the Python parser), so the engine
@@ -56,239 +39,19 @@ _DISPATCH_ERROR = (
 )
 
 
-class CodegenDiskCache:
-    """Content-addressed directory of generated simulator programs.
-
-    Same contract as :class:`~repro.cone.diskcache.DiskConeCache`:
-    atomic ``os.replace`` publishes, version-stamped entries echoing
-    their own key, any read failure degrades to a miss, and file mtimes
-    (ratcheted monotonic per instance) drive LRU pruning.
-    """
-
-    def __init__(self, cache_dir, max_bytes=64 * 1024 * 1024,
-                 version=CODEGEN_FORMAT_VERSION):
-        if max_bytes is not None and max_bytes <= 0:
-            raise SimulationError("codegen cache max_bytes must be positive")
-        self.cache_dir = os.fspath(cache_dir)
-        self.max_bytes = max_bytes
-        self.version = version
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._recency_clock = 0.0
-        os.makedirs(self.cache_dir, exist_ok=True)
-
-    def _path(self, key):
-        return os.path.join(self.cache_dir, key + _ENTRY_SUFFIX)
-
-    def get(self, key):
-        """The cached payload dict for ``key``, or ``None`` (any
-        failure — missing, corrupt, wrong version, wrong key — is a
-        miss, and bad files are dropped)."""
-        path = self._path(key)
-        try:
-            with open(path, "r") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            self._miss()
-            return None
-        except Exception:
-            self._discard(path)
-            self._miss()
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != self.version
-            or payload.get("key") != key
-        ):
-            self._discard(path)
-            self._miss()
-            return None
-        self._touch(path)
-        self.hits += 1
-        tracer = get_tracer()
-        if tracer.enabled:
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                size = 0
-            tracer.event("cache.hit", tier="codegen", bytes=size)
-            tracer.metrics.counter("cache.codegen.hits").inc()
-        return payload
-
-    def _miss(self):
-        self.misses += 1
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("cache.miss", tier="codegen")
-            tracer.metrics.counter("cache.codegen.misses").inc()
-
-    def put(self, key, payload):
-        """Atomically publish ``payload`` under ``key`` and prune."""
-        payload = dict(payload)
-        payload["version"] = self.version
-        payload["key"] = key
-        data = json.dumps(payload).encode("utf-8")
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=self.cache_dir, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(data)
-            os.replace(temp_path, self._path(key))
-        except BaseException:
-            self._discard(temp_path)
-            raise
-        self._touch(self._path(key))
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("cache.write", tier="codegen", bytes=len(data))
-            tracer.metrics.counter("cache.codegen.writes").inc()
-        self.prune()
-
-    def __contains__(self, key):
-        return os.path.exists(self._path(key))
-
-    def __len__(self):
-        return len(self._entries())
-
-    def _entries(self):
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
-            return []
-        return [
-            os.path.join(self.cache_dir, name)
-            for name in names
-            if name.endswith(_ENTRY_SUFFIX)
-        ]
-
-    def total_bytes(self):
-        total = 0
-        for path in self._entries():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
-
-    def _sweep_stale_temps(self, max_age=_STALE_TMP_SECONDS):
-        now = time.time()
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".tmp"):
-                continue
-            path = os.path.join(self.cache_dir, name)
-            try:
-                if now - os.stat(path).st_mtime >= max_age:
-                    self._discard(path)
-            except OSError:
-                continue
-
-    def prune(self):
-        """Evict LRU entries until under ``max_bytes``."""
-        self._sweep_stale_temps()
-        if self.max_bytes is None:
-            return
-        stats = []
-        for path in self._entries():
-            try:
-                info = os.stat(path)
-            except OSError:
-                continue
-            stats.append((info.st_mtime, info.st_size, path))
-        total = sum(size for _, size, _ in stats)
-        if total <= self.max_bytes:
-            return
-        stats.sort()
-        tracer = get_tracer()
-        for _, size, path in stats:
-            if total <= self.max_bytes:
-                break
-            if self._discard(path):
-                self.evictions += 1
-                total -= size
-                if tracer.enabled:
-                    tracer.event(
-                        "cache.evict", tier="codegen",
-                        entry=os.path.basename(path), bytes=size,
-                    )
-                    tracer.metrics.counter("cache.codegen.evictions").inc()
-
-    def clear(self):
-        for path in self._entries():
-            self._discard(path)
-        self._sweep_stale_temps(max_age=0.0)
-
-    def _touch(self, path):
-        stamp = max(time.time(), self._recency_clock + 1e-6)
-        self._recency_clock = stamp
-        try:
-            os.utime(path, (stamp, stamp))
-        except OSError:
-            pass
-
-    @staticmethod
-    def _discard(path):
-        try:
-            os.unlink(path)
-            return True
-        except OSError:
-            return False
-
-    def __repr__(self):
-        return "CodegenDiskCache(%r, %d entries, %d hits, %d misses)" % (
-            self.cache_dir, len(self), self.hits, self.misses,
-        )
-
-
-# -- default cache wiring ---------------------------------------------------
-
-_DEFAULT_DISK_CACHE = None
-_DISK_CACHE_CONFIGURED = False
-
-
-def configure_codegen_cache(cache_dir, max_bytes=64 * 1024 * 1024):
-    """Set (or with ``None`` clear) the process-wide disk tier for
-    generated simulator programs. Overrides ``REPRO_CODEGEN_CACHE``."""
-    global _DEFAULT_DISK_CACHE, _DISK_CACHE_CONFIGURED
-    _DISK_CACHE_CONFIGURED = True
-    if cache_dir is None:
-        _DEFAULT_DISK_CACHE = None
-    else:
-        _DEFAULT_DISK_CACHE = CodegenDiskCache(cache_dir, max_bytes=max_bytes)
-    return _DEFAULT_DISK_CACHE
-
-
-def default_codegen_cache():
-    """The process-wide disk tier: whatever was configured, else the
-    ``REPRO_CODEGEN_CACHE`` directory, else ``None`` (memo only)."""
-    global _DEFAULT_DISK_CACHE, _DISK_CACHE_CONFIGURED
-    if not _DISK_CACHE_CONFIGURED:
-        _DISK_CACHE_CONFIGURED = True
-        env_dir = os.environ.get("REPRO_CODEGEN_CACHE")
-        if env_dir:
-            _DEFAULT_DISK_CACHE = CodegenDiskCache(env_dir)
-    return _DEFAULT_DISK_CACHE
-
-
 # -- tree building and source emission --------------------------------------
 
 class _TreeProgram:
     """One generated simulator: source text, its compiled code object,
     and the bind-time leaf tables."""
 
-    __slots__ = ("source", "code", "leaf_deltas", "errors", "decisions")
+    __slots__ = ("source", "code", "leaf_deltas", "errors")
 
-    def __init__(self, source, leaf_deltas, errors, decisions):
+    def __init__(self, source, leaf_deltas, errors):
         self.source = source
         self.code = compile(source, "<repro-codegen>", "exec")
         self.leaf_deltas = np.asarray(leaf_deltas, dtype=np.int64)
         self.errors = list(errors)
-        self.decisions = list(decisions)
 
     def bind(self, samplers, counts):
         """Exec the program and close it over this run's samplers and
@@ -296,25 +59,6 @@ class _TreeProgram:
         namespace = {"SimulationError": SimulationError}
         exec(self.code, namespace)
         return namespace["bind"](samplers, counts, self.errors)
-
-    def payload(self):
-        return {
-            "source": self.source,
-            "leaf_deltas": [
-                [int(value) for value in row] for row in self.leaf_deltas
-            ],
-            "errors": list(self.errors),
-            "decisions": list(self.decisions),
-        }
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(
-            payload["source"],
-            payload["leaf_deltas"],
-            payload["errors"],
-            payload["decisions"],
-        )
 
 
 def _build_tree(skeleton):
@@ -456,32 +200,19 @@ _PROGRAM_MEMO = {}
 _PROGRAM_MEMO_CAP = 256
 
 
-def _program_for(skeleton, fingerprint, disk_cache):
-    """The generated program for a skeleton, through both cache tiers;
+def _program_for(skeleton, fingerprint):
+    """The generated program for a skeleton, memoized by fingerprint;
     ``None`` when the tree form is unavailable for this µDD."""
     cached = _PROGRAM_MEMO.get(fingerprint)
     if cached is not None:
         return cached or None
-    if disk_cache is not None:
-        payload = disk_cache.get(fingerprint)
-        if payload is not None:
-            try:
-                program = _TreeProgram.from_payload(payload)
-            except Exception:
-                program = None  # regenerate below
-            if program is not None:
-                _memoize(fingerprint, program)
-                return program
     built = _build_tree(skeleton)
     if built is None:
         _memoize(fingerprint, False)
         return None
     root, leaf_deltas, errors = built
-    decisions = _tree_decisions(root)
-    source = _emit_source(root, decisions)
-    program = _TreeProgram(source, leaf_deltas, errors, decisions)
-    if disk_cache is not None:
-        disk_cache.put(fingerprint, program.payload())
+    source = _emit_source(root, _tree_decisions(root))
+    program = _TreeProgram(source, leaf_deltas, errors)
     _memoize(fingerprint, program)
     return program
 
@@ -503,9 +234,8 @@ class CodegenEngine(VectorEngine):
 
     name = "codegen"
 
-    def __init__(self, compiled, cache=None):
+    def __init__(self, compiled):
         VectorEngine.__init__(self, compiled)
-        self._disk_cache = cache
         self._program = None
         self._program_resolved = False
         self._counts = None
@@ -514,11 +244,8 @@ class CodegenEngine(VectorEngine):
     def _resolve_program(self):
         if not self._program_resolved:
             self._program_resolved = True
-            cache = self._disk_cache
-            if cache is None:
-                cache = default_codegen_cache()
             self._program = _program_for(
-                self.skeleton, self.skeleton.compiled.fingerprint, cache
+                self.skeleton, self.skeleton.compiled.fingerprint
             )
             if self._program is not None:
                 self._counts = [0] * len(self._program.leaf_deltas)
@@ -557,21 +284,14 @@ class CodegenEngine(VectorEngine):
         self._counts_dirty = False
 
 
-def auto_engine(compiled, cache=None):
+def auto_engine(compiled):
     """The ``backend="auto"`` heuristic: codegen (it embeds the vector
     walk as its own fallback, so it never loses more than compile cost),
     dropping to plain vector only if program generation itself fails."""
     try:
-        return CodegenEngine(compiled, cache=cache)
+        return CodegenEngine(compiled)
     except Exception:
         return VectorEngine(compiled)
 
 
-__all__ = [
-    "CODEGEN_FORMAT_VERSION",
-    "CodegenDiskCache",
-    "CodegenEngine",
-    "auto_engine",
-    "configure_codegen_cache",
-    "default_codegen_cache",
-]
+__all__ = ["CodegenEngine", "auto_engine"]

@@ -365,7 +365,7 @@ class TestInstrumentedStack:
             pipeline.sweep(tiny_cone(), observations)
         hits = events(warm, "cache.hit")
         assert hits and all(
-            record["attrs"]["tier"] in ("cone", "artifact")
+            record["attrs"]["tier"] in ("cone", "verdict")
             for record in hits
         )
         assert events(warm, "session.store_hit")
@@ -425,29 +425,30 @@ class TestRunnerFallback:
 class TestCacheRecencyMonotonic:
     def test_eviction_order_survives_a_stuck_clock(self, tmp_path,
                                                    monkeypatch):
-        import repro.cone.diskcache as diskcache_module
-        from repro.cone.diskcache import DiskConeCache
+        import repro.results.store as store_module
+        from repro.results.store import ArtifactStore
 
         # Freeze the wall clock: recency must still ratchet forward so
         # usage order — not creation order or clock luck — drives LRU.
-        monkeypatch.setattr(diskcache_module.time, "time", lambda: 1000.0)
-        cache = DiskConeCache(str(tmp_path), max_bytes=None)
-        payload = "x" * 64
+        monkeypatch.setattr(store_module.time, "time", lambda: 1000.0)
+        store = ArtifactStore(str(tmp_path), max_bytes=None)
+        payload = {"data": "x" * 64}
         for name in ("a", "b", "c"):
-            cache.put((name, 1), payload)
-        assert cache.get(("a", 1)) == payload  # refresh "a" last
+            store.put("cone", name, payload)
+        assert store.get("cone", "a") == payload  # refresh "a" last
         sizes = {
-            path: os.path.getsize(path) for path in cache._entries()
+            path: os.path.getsize(path) for path in store._entries()
         }
-        cache.max_bytes = max(sizes.values())  # room for one entry
+        store.max_bytes = max(sizes.values())  # room for one entry
         tracer = Tracer()
         with activate(tracer):
-            cache.prune()
-        assert ("a", 1) in cache  # most recently used survives
-        assert ("b", 1) not in cache and ("c", 1) not in cache
+            store.prune()
+        assert store.contains("cone", "a")  # most recently used survives
+        assert not store.contains("cone", "b")
+        assert not store.contains("cone", "c")
         names = [record["attrs"]["entry"]
                  for record in events(tracer, "cache.evict")]
-        assert len(names) == 2 and all(n.endswith(".conepkl") for n in names)
+        assert len(names) == 2 and all(n.endswith(".json") for n in names)
 
 
 class TestCliTrace:

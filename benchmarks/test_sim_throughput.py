@@ -11,10 +11,11 @@ sweeps, so its two hot paths are benchmarked directly:
   device-backed MMU oracle, which bounds how fast trace-replay
   simulations (and oracle-in-the-loop validation) can run.
 
-The per-µop path is additionally benchmarked per execution backend
-(interpreter / vector / codegen): the compiled backends must produce
-bit-identical totals and the best one must clear a hard speedup bar
-over the interpreter at bench scale (``test_sim_codegen_speedup``).
+The per-µop path is additionally benchmarked both ways
+``MuDDExecutor`` runs it: the interpreter (a ``run_uop`` loop) and the
+generated program (``run`` with a hook-free oracle). The program must
+produce bit-identical totals and clear a hard speedup bar over the
+interpreter at bench scale (``test_sim_codegen_speedup``).
 """
 
 import json
@@ -35,13 +36,13 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _BASELINE_PATH = os.path.join(_REPO_ROOT, "BENCH_baseline.json")
 
 #: Headroom over the committed baseline median before the gate fires —
-#: CI machines vary widely; the shape of a real regression (a compiled
-#: backend degrading to interpreter speed) does not.
+#: CI machines vary widely; the shape of a real regression (the
+#: generated program degrading to interpreter speed) does not.
 _BASELINE_FACTOR = 25.0
 
 
 def _check_baseline(benchmark, key):
-    """Gate a backend benchmark against its ``BENCH_baseline.json``
+    """Gate a benchmark against its ``BENCH_baseline.json``
     entry (skipped when no baseline exists, so new machines record one
     first)."""
     try:
@@ -94,45 +95,37 @@ def test_sim_throughput_event_driven(benchmark):
     assert executor.n_uops >= 2000
 
 
+def _interpreted_run(mudd, uops=20000):
+    """The interpreter: a ``run_uop`` loop (``run_uop`` always
+    interprets)."""
+    executor = MuDDExecutor(mudd)
+    oracle = RandomOracle(seed=0, weights=MERGE_WEIGHTS)
+    for op in [None] * uops:
+        executor.run_uop(oracle, op)
+    return executor
+
+
+def _program_run(mudd, uops=20000):
+    """The generated program: ``run`` with a hook-free oracle."""
+    executor = MuDDExecutor(mudd)
+    executor.run(RandomOracle(seed=0, weights=MERGE_WEIGHTS), [None] * uops)
+    return executor
+
+
 def test_sim_throughput_random_oracle(benchmark):
     """Per-µop interpretation without device state — the pure
     interpreter overhead floor."""
     mudd = load_bundled_model("merging_load_side")
-
-    def run():
-        executor = MuDDExecutor(mudd)
-        executor.run(RandomOracle(seed=0, weights=MERGE_WEIGHTS), [None] * 20000)
-        return executor
-
-    executor = benchmark(run)
+    executor = benchmark(_interpreted_run, mudd)
     assert executor.n_uops == 20000
-
-
-def _backend_run(mudd, backend):
-    executor = MuDDExecutor(mudd, backend=backend)
-    executor.run(RandomOracle(seed=0, weights=MERGE_WEIGHTS), [None] * 20000)
-    return executor
-
-
-def test_sim_throughput_random_oracle_vector(benchmark):
-    """The vectorised backend on the interpreter-floor workload."""
-    mudd = load_bundled_model("merging_load_side")
-    executor = benchmark(_backend_run, mudd, "vector")
-    assert executor.n_uops == 20000
-    assert executor.snapshot() == _backend_run(mudd, "interpreter").snapshot()
-    _check_baseline(
-        benchmark,
-        "benchmarks/test_sim_throughput.py::"
-        "test_sim_throughput_random_oracle_vector",
-    )
 
 
 def test_sim_throughput_random_oracle_codegen(benchmark):
-    """The codegen backend on the interpreter-floor workload."""
+    """The generated program on the interpreter-floor workload."""
     mudd = load_bundled_model("merging_load_side")
-    executor = benchmark(_backend_run, mudd, "codegen")
+    executor = benchmark(_program_run, mudd)
     assert executor.n_uops == 20000
-    assert executor.snapshot() == _backend_run(mudd, "interpreter").snapshot()
+    assert executor.snapshot() == _interpreted_run(mudd).snapshot()
     _check_baseline(
         benchmark,
         "benchmarks/test_sim_throughput.py::"
@@ -150,16 +143,16 @@ def _best_of(repeats, run):
 
 
 def test_sim_codegen_speedup():
-    """The best compiled backend clears 5x over the interpreter at bench
+    """The generated program clears 5x over the interpreter at bench
     scale (20000 weighted-RandomOracle µops of merging_load_side).
 
     Measured headroom is ~7x, so the bar survives CI noise; best-of-5
     wall-clock keeps scheduler jitter out of the ratio.
     """
     mudd = load_bundled_model("merging_load_side")
-    _backend_run(mudd, "codegen")          # warm the program memo
-    interpreter = _best_of(5, lambda: _backend_run(mudd, "interpreter"))
-    codegen = _best_of(5, lambda: _backend_run(mudd, "codegen"))
+    _program_run(mudd)                     # warm the program memo
+    interpreter = _best_of(5, lambda: _interpreted_run(mudd))
+    codegen = _best_of(5, lambda: _program_run(mudd))
     assert codegen * 5 <= interpreter, (
         "codegen %.4fs vs interpreter %.4fs (%.1fx, need >= 5x)"
         % (codegen, interpreter, interpreter / codegen)
@@ -167,7 +160,7 @@ def test_sim_codegen_speedup():
 
 
 def test_sim_auto_cold_start_overhead():
-    """``backend="auto"`` never loses to the interpreter by more than
+    """``run`` never loses to the interpreter by more than the program's
     compile cost on a cold single trace.
 
     The model is built inline so nothing in the session has warmed its
@@ -186,12 +179,12 @@ def test_sim_auto_cold_start_overhead():
     compile_cost_allowance = 0.05
     interpreter_mudd = compile_dsl(source, name="cold_probe_interp")
     started = time.perf_counter()
-    reference = MuDDExecutor(interpreter_mudd, backend="interpreter")
-    reference.run(RandomOracle(seed=0), [None])
+    reference = MuDDExecutor(interpreter_mudd)
+    reference.run_uop(RandomOracle(seed=0), None)
     interpreter_seconds = time.perf_counter() - started
     auto_mudd = compile_dsl(source, name="cold_probe_auto")
     started = time.perf_counter()
-    executor = MuDDExecutor(auto_mudd, backend="auto")
+    executor = MuDDExecutor(auto_mudd)
     executor.run(RandomOracle(seed=0), [None])
     auto_seconds = time.perf_counter() - started
     assert executor.snapshot() == reference.snapshot()

@@ -399,7 +399,6 @@ def cmd_simulate(arguments):
             n_traces=arguments.traces,
             weights=weights,
             seed=arguments.seed,
-            backend=arguments.sim_backend,
         )
         print(
             "%d traces x %d µops of %s (mean totals):"
@@ -415,7 +414,6 @@ def cmd_simulate(arguments):
             weights=weights,
             seed=arguments.seed,
             noisy=arguments.noisy,
-            backend=arguments.sim_backend,
         )
         print("1 trace x %d µops of %s:" % (arguments.n_uops, model.name))
         if arguments.noisy:
@@ -473,7 +471,6 @@ def cmd_run(arguments):
         confidence=arguments.confidence,
         workers=arguments.workers,
         cache_dir=arguments.cache_dir or None,
-        sim_backend=arguments.sim_backend,
     ) as counterpoint:
         engine = counterpoint.plan_engine()
         if arguments.dry_run:
@@ -586,7 +583,6 @@ def cmd_serve(arguments):
         max_queue=arguments.max_queue,
         cache_dir=arguments.cache_dir or None,
         backend=arguments.backend,
-        sim_backend=arguments.sim_backend,
     )
     daemon = ServeDaemon(service, host=arguments.host, port=arguments.port)
     print("repro serve listening on %s (workers=%d, max-queue=%d%s)" % (
@@ -948,12 +944,6 @@ def build_parser():
                                   "'python -m repro plan ...')")
     run.add_argument("--backend", default="exact", choices=("exact", "scipy"),
                      help="LP backend for every verdict in the plan")
-    run.add_argument(
-        "--sim-backend", default="auto",
-        choices=("interpreter", "vector", "codegen", "auto"),
-        help="simulation engine for the plan's dataset ops (per-op "
-             "sim_backend in the plan JSON wins; identical observations "
-             "for every choice)")
     run.add_argument("--confidence", type=float, default=0.99,
                      help="confidence level for region-mode sweeps")
     run.add_argument("--dry-run", action="store_true",
@@ -1064,11 +1054,6 @@ def build_parser():
                                "against another model (exit 1 when refuted)")
     simulate.add_argument("--backend", default="exact", choices=("exact", "scipy"),
                           help="LP backend for --analyze verdicts")
-    simulate.add_argument(
-        "--sim-backend", default="auto",
-        choices=("interpreter", "vector", "codegen", "auto"),
-        help="simulation engine (identical totals for every choice; "
-             "compiled backends are faster on repeated or large runs)")
     _add_runtime_flags(
         simulate,
         "process-pool size for sharded sweeps (single-run simulation "
@@ -1155,10 +1140,6 @@ def build_parser():
                        choices=("exact", "scipy"),
                        help="LP backend for every verdict the daemon "
                             "computes")
-    serve.add_argument(
-        "--sim-backend", default="auto",
-        choices=("interpreter", "vector", "codegen", "auto"),
-        help="simulation engine for plans' dataset ops")
     _add_runtime_flags(
         serve, "worker threads draining the shared fair queue (cell "
                "batches from every tenant's jobs)")

@@ -104,14 +104,8 @@ class DiskConeCache:
     def get(self, key):
         """The cached cone for ``key`` (``(fingerprint, max_paths)``),
         or ``None``: a missing, stale or undecodable entry is a miss."""
-        entry = "%s-%d" % tuple(key)
-        payload = self.store.get(_KIND, entry)
-        if payload is None:
-            return None
-        try:
-            cone = _decode(payload)
-        except Exception:
-            self.store.discard(_KIND, entry)
+        cone = self.store.get(_KIND, "%s-%d" % tuple(key), decode=_decode)
+        if cone is None:
             return None
         self.hits += 1
         return cone

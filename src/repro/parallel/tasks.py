@@ -170,7 +170,6 @@ def run_simulate_chunk(payload):
                 seed=payload["seed"] + run,
                 noisy=payload["noisy"],
                 name="sim:%s/run%d" % (mudd.name, run),
-                **payload["options"]
             )
             for run in payload["runs"]
         ]
@@ -180,7 +179,7 @@ def run_simulate_chunk(payload):
 
 
 def parallel_simulate_dataset(runner, model, n_observations, n_uops=20000,
-                              weights=None, seed=0, noisy=False, **options):
+                              weights=None, seed=0, noisy=False):
     """Shard dataset simulation across the pool by run index.
 
     Run ``i`` always draws from seed ``seed + i`` (the serial
@@ -199,7 +198,6 @@ def parallel_simulate_dataset(runner, model, n_observations, n_uops=20000,
             "weights": weights,
             "seed": seed,
             "noisy": noisy,
-            "options": options,
             "trace": tracing,
         }
         for chunk in _chunks(range(n_observations), runner.workers)

@@ -74,15 +74,6 @@ class CounterPoint:
         is read, pruned or deleted. Requires the default
         ``cache=True`` (to combine a custom cache with a disk tier,
         pass ``cache=ModelConeCache(disk=cache_dir)`` instead).
-    sim_backend:
-        Simulation engine for :meth:`simulate` /
-        :meth:`simulate_dataset` (and plan ops that simulate):
-        ``"interpreter"`` (the bit-for-bit reference), ``"vector"``
-        (numpy-lowered skeleton walk), ``"codegen"`` (specialised
-        generated source, cached by µDD fingerprint), or ``"auto"``
-        (the default: codegen with vector fallback). Every choice
-        produces identical observations; only wall-clock differs. A
-        per-call ``backend=`` option still wins.
     trace:
         Observability (:mod:`repro.obs`). ``True`` builds a fresh
         enabled :class:`~repro.obs.Tracer`; an existing tracer may be
@@ -99,14 +90,10 @@ class CounterPoint:
     """
 
     def __init__(self, counters=None, backend="exact", confidence=0.99,
-                 cache=True, workers=1, cache_dir=None, sim_backend="auto",
-                 trace=None):
-        from repro.sim.engines import resolve_backend
-
+                 cache=True, workers=1, cache_dir=None, trace=None):
         self.counters = counters
         self.backend = backend
         self.confidence = confidence
-        self.sim_backend = resolve_backend(sim_backend)
         self.cache_dir = cache_dir
         if cache_dir is not None and cache is not True:
             # cache=False has nothing to attach a disk tier to, and an
@@ -160,14 +147,9 @@ class CounterPoint:
         cells does no LP work at all.
         """
         if self._session is None:
-            import os
-
             from repro.results.session import AnalysisSession
 
-            store = None
-            if self.cache_dir is not None:
-                store = os.path.join(self.cache_dir, "artifacts")
-            self._session = AnalysisSession(pipeline=self, store=store)
+            self._session = AnalysisSession(pipeline=self, store=self.cache_dir)
         return self._session
 
     def plan_engine(self):
@@ -336,30 +318,25 @@ class CounterPoint:
         ``model`` is anything :meth:`model_cone` accepts as a µDD source
         (µDD, DSL text) or a bundled-model name. Options pass through to
         :func:`repro.sim.simulate_observation` (``weights``, ``seed``,
-        ``noisy``, ``n_intervals``, ...). The pipeline's
-        ``sim_backend`` picks the execution engine unless the call
-        passes its own ``backend=``. The result is an
+        ``noisy``, ``n_intervals``, ...). The result is an
         :class:`~repro.models.dataset.Observation`: feed ``.point()`` to
         :meth:`analyze` or the object itself to :meth:`sweep`.
         """
         from repro.obs.trace import activate, tracer_for
         from repro.sim import simulate_observation
 
-        options.setdefault("backend", self.sim_backend)
         with activate(tracer_for(self)):
             return simulate_observation(model, n_uops=n_uops, **options)
 
     def simulate_dataset(self, model, n_observations, n_uops=20000, seed=0,
-                         weights=None, noisy=False, backend=None):
+                         weights=None, noisy=False):
         """Independent simulated observations of one model, ready for
         :meth:`sweep` / :meth:`compare`.
 
         Run ``i`` draws from seed ``seed + i``, so datasets are
         reproducible; with ``workers > 1`` the runs are sharded across
         the process pool under the same per-run seeds (identical
-        observations, faster wall-clock). ``backend`` picks the
-        simulation engine, defaulting to the pipeline's
-        ``sim_backend``. The call is a one-op plan over
+        observations, faster wall-clock). The call is a one-op plan over
         :meth:`plan_engine`, so its inputs are validated like any plan
         op's.
         """
@@ -368,7 +345,7 @@ class CounterPoint:
         plan = Plan()
         op_id = plan.simulate_dataset(
             model, n_observations, n_uops=n_uops, seed=seed,
-            weights=weights, noisy=noisy, sim_backend=backend,
+            weights=weights, noisy=noisy,
         )
         return self.plan_engine().run(plan).datasets[op_id]
 

@@ -27,19 +27,13 @@ from repro.results.store import content_key
 
 
 class SimTask:
-    """One deduplicated dataset simulation.
-
-    ``sim_backend`` is an execution hint (which engine runs the
-    simulation), not part of the task's content key — every backend
-    draws identical observations, so two ops differing only in backend
-    still share one task (first spec wins the hint).
-    """
+    """One deduplicated dataset simulation."""
 
     __slots__ = ("key", "model", "n_observations", "n_uops", "seed",
-                 "weights", "noisy", "sim_backend")
+                 "weights", "noisy")
 
     def __init__(self, key, model, n_observations, n_uops, seed, weights,
-                 noisy, sim_backend=None):
+                 noisy):
         self.key = key
         self.model = model
         self.n_observations = n_observations
@@ -47,7 +41,6 @@ class SimTask:
         self.seed = seed
         self.weights = weights
         self.noisy = noisy
-        self.sim_backend = sim_backend
 
     def __repr__(self):
         return "SimTask(%s x %d uops of %s, seed %d)" % (
@@ -224,12 +217,8 @@ def _bundled_size(compiled, source, scale):
     return len(compiled.bundled_sizes[slot])
 
 
-def _sim_task(compiled, model, n_observations, n_uops, seed, weights, noisy,
-              sim_backend=None):
-    """Intern one simulation spec, returning its content-addressed key.
-
-    ``sim_backend`` deliberately stays out of the key — backends are
-    bit-identical, so it must not split otherwise-equal tasks."""
+def _sim_task(compiled, model, n_observations, n_uops, seed, weights, noisy):
+    """Intern one simulation spec, returning its content-addressed key."""
     resolved = _resolve_model(model)
     key = content_key(
         "plan-sim",
@@ -243,7 +232,7 @@ def _sim_task(compiled, model, n_observations, n_uops, seed, weights, noisy,
     if key not in compiled.sims:
         compiled.sims[key] = SimTask(
             key, resolved, int(n_observations), int(n_uops), int(seed),
-            weights, bool(noisy), sim_backend,
+            weights, bool(noisy),
         )
     return key
 
@@ -273,7 +262,6 @@ def _dataset_source(compiled, op, sim_keys):
             inner.pop("seed", 0),
             inner.pop("weights", None),
             inner.pop("noisy", False),
-            inner.pop("sim_backend", None),
         )
         if inner:
             raise AnalysisError(
@@ -336,7 +324,6 @@ def compile_plan(plan, pipeline):
                 op.params["seed"],
                 op.params["weights"],
                 op.params["noisy"],
-                op.params.get("sim_backend"),
             )
             compiled.assembly[op_id] = ("dataset", sim_keys[op_id])
         elif op.kind == "analyze":

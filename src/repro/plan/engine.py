@@ -389,7 +389,6 @@ class PlanEngine:
             "schema": OBS_SCHEMA_VERSION,
             "total_seconds": time.perf_counter() - started,
             "simulate_seconds": simulate_seconds,
-            "sim_backend": getattr(self.pipeline, "sim_backend", "auto"),
             "ops": op_seconds,
         }
         result = PlanResult(results, stats=stats, timing=timing,

@@ -29,24 +29,14 @@ override, e.g. forcing a serial run on a ``workers=8`` pipeline.
 from repro.obs.trace import get_tracer
 
 
-def _sim_backend(pipeline, task):
-    """The engine a simulation task runs on: the task's own hint when
-    set, else the pipeline's ``sim_backend`` (``"auto"`` for pre-knob
-    pipelines). Never part of task identity — backends are
-    bit-identical."""
-    return task.sim_backend or getattr(pipeline, "sim_backend", "auto")
-
-
 class SerialScheduler:
     """Run every task in-process (the reference execution)."""
 
     def simulate(self, pipeline, task):
         from repro.sim import simulate_dataset
 
-        backend = _sim_backend(pipeline, task)
         with get_tracer().span(
-            "sched.simulate", scheduler="serial",
-            runs=task.n_observations, backend=backend,
+            "sched.simulate", scheduler="serial", runs=task.n_observations,
         ):
             return simulate_dataset(
                 task.model,
@@ -55,7 +45,6 @@ class SerialScheduler:
                 weights=task.weights,
                 seed=task.seed,
                 noisy=task.noisy,
-                backend=backend,
             )
 
     def compute(self, session, cone, targets, use_regions, explain):
@@ -85,10 +74,8 @@ class PoolScheduler(SerialScheduler):
     def simulate(self, pipeline, task):
         from repro.parallel import parallel_simulate_dataset
 
-        backend = _sim_backend(pipeline, task)
         with get_tracer().span(
-            "sched.simulate", scheduler="pool",
-            runs=task.n_observations, backend=backend,
+            "sched.simulate", scheduler="pool", runs=task.n_observations,
         ):
             return parallel_simulate_dataset(
                 pipeline.runner(),
@@ -98,7 +85,6 @@ class PoolScheduler(SerialScheduler):
                 weights=task.weights,
                 seed=task.seed,
                 noisy=task.noisy,
-                backend=backend,
             )
 
     def compute(self, session, cone, targets, use_regions, explain):

@@ -129,20 +129,6 @@ def _check_positive(op_id, name, value):
         )
 
 
-def _check_sim_backend(op_id, sim_backend):
-    """Validate an optional per-op simulation backend override."""
-    if sim_backend is None:
-        return None
-    from repro.sim.engines import BACKENDS
-
-    if sim_backend not in BACKENDS:
-        raise AnalysisError(
-            "plan op %r: unknown sim backend %r (choose from %s)"
-            % (op_id, sim_backend, ", ".join(BACKENDS))
-        )
-    return sim_backend
-
-
 def _check_weights(op_id, weights):
     if weights is None:
         return None
@@ -256,17 +242,8 @@ class Plan(ResultBase):
         return op.op_id
 
     def simulate_dataset(self, model, n_observations, n_uops=20000, seed=0,
-                         weights=None, noisy=False, sim_backend=None,
-                         op_id=None, after=()):
-        """Add a dataset-simulation op; other ops consume it by id.
-
-        ``sim_backend`` optionally pins this op's simulation engine
-        (:data:`repro.sim.BACKENDS`); ``None`` (the default, and the
-        only value older serialized plans carry) defers to the
-        executing pipeline's ``sim_backend``. Either way the
-        observations are identical — the knob is wall-clock only, and
-        it does not participate in task content keys.
-        """
+                         weights=None, noisy=False, op_id=None, after=()):
+        """Add a dataset-simulation op; other ops consume it by id."""
         _check_positive(op_id or "?", "n_observations", n_observations)
         _check_positive(op_id or "?", "n_uops", n_uops)
         return self._add("simulate_dataset", {
@@ -276,7 +253,6 @@ class Plan(ResultBase):
             "seed": int(seed),
             "weights": _check_weights(op_id or "?", weights),
             "noisy": bool(noisy),
-            "sim_backend": _check_sim_backend(op_id or "?", sim_backend),
         }, op_id, after)
 
     def analyze(self, model, observation, explain=False, op_id=None, after=()):
@@ -374,7 +350,6 @@ class Plan(ResultBase):
                                 op.params["n_observations"])
                 _check_positive(op.op_id, "n_uops", op.params["n_uops"])
                 _check_weights(op.op_id, op.params.get("weights"))
-                _check_sim_backend(op.op_id, op.params.get("sim_backend"))
             dataset = op.params.get("dataset")
             if (
                 isinstance(dataset, dict)
@@ -403,7 +378,6 @@ class Plan(ResultBase):
                                 inner.get("n_observations", 3))
                 _check_positive(op.op_id, "n_uops", inner.get("n_uops", 20000))
                 _check_weights(op.op_id, inner.get("weights"))
-                _check_sim_backend(op.op_id, inner.get("sim_backend"))
         # Kahn's algorithm, scanning in declaration order so execution
         # order is deterministic regardless of edge insertion order.
         remaining = {op.op_id: set(op.dependencies()) for op in self.ops}
@@ -454,12 +428,6 @@ class Plan(ResultBase):
                 elif name == "dataset":
                     value = _serialize_dataset(op.op_id, value)
                 entry[name] = value
-            # Optional params serialize only when set, so plans that
-            # never touch them round-trip byte-identically against
-            # golden files written before the param existed.
-            sim_backend = op.params.get("sim_backend")
-            if sim_backend is not None:
-                entry["sim_backend"] = sim_backend
             entries.append(entry)
         return {"ops": entries}
 
@@ -485,8 +453,6 @@ class Plan(ResultBase):
                 elif name == "dataset":
                     value = _deserialize_dataset(value)
                 params[name] = value
-            if kind == "simulate_dataset":
-                params["sim_backend"] = entry.get("sim_backend")
             ops.append(PlanOp(entry["id"], kind, params, entry.get("after", ())))
         plan = cls(ops)
         plan.validate()

@@ -29,6 +29,8 @@ which is how ``workers > 1`` shards only the *pending* cells across the
 process pool.
 """
 
+import os
+
 from repro.cone import (
     identify_violations,
     separating_constraint,
@@ -168,10 +170,11 @@ class AnalysisSession:
         ``None`` builds one from the remaining keyword options.
     store:
         Persistent verdict tier: an
-        :class:`~repro.results.store.ArtifactStore`, a directory path to
-        build one over, or ``None`` (memory-only memoization). A warmed
-        store makes re-analysis of unchanged cells free *across
-        processes and runs*.
+        :class:`~repro.results.store.ArtifactStore` (used as given), a
+        directory path — the store then owns ``<path>/artifacts`` and
+        leaves everything else in ``<path>`` alone — or ``None``
+        (memory-only memoization). A warmed store makes re-analysis of
+        unchanged cells free *across processes and runs*.
     pipeline_options:
         Passed to :class:`~repro.pipeline.CounterPoint` when
         ``pipeline`` is ``None`` (``backend=``, ``confidence=``, ...).
@@ -189,7 +192,7 @@ class AnalysisSession:
             )
         self.pipeline = pipeline
         if store is not None and not isinstance(store, ArtifactStore):
-            store = ArtifactStore(store)
+            store = ArtifactStore(os.path.join(os.fspath(store), "artifacts"))
         self.store = store
         self._memo = {}
         self.stats = SessionStats()
@@ -231,16 +234,10 @@ class AnalysisSession:
                 tracer.metrics.counter("session.memo_hits").inc()
             return verdict
         if self.store is not None:
-            payload = self.store.get("verdict", key)
-            if payload is not None:
-                try:
-                    verdict = CellVerdict.from_dict(payload)
-                except Exception:
-                    # A valid envelope around a foreign payload (torn
-                    # by a racing writer, or left by an older schema):
-                    # drop it and recompute — never crash a sweep.
-                    self.store.discard("verdict", key)
-                    return None
+            verdict = self.store.get(
+                "verdict", key, decode=CellVerdict.from_dict
+            )
+            if verdict is not None:
                 self._memo[key] = verdict
                 self.stats.store_hits += 1
                 tracer = get_tracer()
@@ -439,19 +436,14 @@ class AnalysisSession:
         tracer = get_tracer()
         cached = self._memo.get(key)
         if cached is None and self.store is not None:
-            payload = self.store.get("report", key)
-            if payload is not None:
-                try:
-                    cached = AnalysisReport.from_dict(payload)
-                except Exception:
-                    # Corrupt-but-enveloped payload: discard, recompute.
-                    self.store.discard("report", key)
-                    cached = None
-                else:
-                    self._memo[key] = cached
-                    self.stats.store_hits += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("session.store_hits").inc()
+            cached = self.store.get(
+                "report", key, decode=AnalysisReport.from_dict
+            )
+            if cached is not None:
+                self._memo[key] = cached
+                self.stats.store_hits += 1
+                if tracer.enabled:
+                    tracer.metrics.counter("session.store_hits").inc()
         elif cached is not None:
             self.stats.memo_hits += 1
             if tracer.enabled:

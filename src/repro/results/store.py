@@ -117,13 +117,18 @@ class ArtifactStore:
         return os.path.join(self.root, "%s-%s%s" % (kind, key, _ENTRY_SUFFIX))
 
     # -- entry I/O ---------------------------------------------------------
-    def get(self, kind, key):
-        """The stored payload dict for ``(kind, key)``, or ``None``.
+    def get(self, kind, key, decode=None):
+        """The stored payload for ``(kind, key)``, or ``None``.
 
-        Every failure mode — missing file, version mismatch, torn or
-        foreign bytes — counts as a miss so callers always fall back to
-        recomputing. Hits refresh the entry mtime so LRU pruning tracks
-        use, not just creation.
+        ``decode``, when given, turns the payload dict into the
+        caller's object inside the lookup, and an exception from it
+        means the payload is foreign (an older schema, or torn by a
+        racing writer). Every failure mode — missing file, version
+        mismatch, torn or foreign bytes, an undecodable payload — drops
+        the entry and counts as a miss, so callers always fall back to
+        recomputing; a hit is recorded only for a payload that decoded.
+        Hits refresh the entry mtime so LRU pruning tracks use, not
+        just creation.
         """
         path = self._path(kind, key)
         try:
@@ -146,6 +151,14 @@ class ArtifactStore:
             self._discard(path)
             self._miss(kind)
             return None
+        payload = envelope["payload"]
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except Exception:
+                self._discard(path)
+                self._miss(kind)
+                return None
         self._touch(path)
         with self._lock:
             self.hits += 1
@@ -158,7 +171,7 @@ class ArtifactStore:
             tracer.event("cache.hit", tier=kind, bytes=size)
             tracer.metrics.counter("cache.%s.hits" % kind).inc()
             tracer.metrics.counter("cache.%s.bytes_read" % kind).inc(size)
-        return envelope["payload"]
+        return payload
 
     def _miss(self, kind):
         with self._lock:
@@ -227,11 +240,6 @@ class ArtifactStore:
 
     def contains(self, kind, key):
         return os.path.exists(self._path(kind, key))
-
-    def discard(self, kind, key):
-        """Drop the entry for ``(kind, key)`` if present (used by
-        readers that found the payload undecodable)."""
-        self._discard(self._path(kind, key))
 
     # -- in-flight claims --------------------------------------------------
     def _claim_path(self, kind, key):

@@ -175,10 +175,9 @@ class PlanService:
     ----------
     pipeline:
         A ready :class:`~repro.pipeline.CounterPoint`; ``None`` builds
-        one from ``backend``/``sim_backend``/``cache_dir``. The
-        pipeline is kept single-process (``workers=1``) — concurrency
-        comes from the service's worker *threads*, which share every
-        cache tier.
+        one from ``backend``/``cache_dir``. The pipeline is kept
+        single-process (``workers=1``) — concurrency comes from the
+        service's worker *threads*, which share every cache tier.
     workers:
         Thread count, used both to drive admitted jobs and to drain
         the cell-level :class:`~repro.serve.queue.QueueScheduler`.
@@ -190,13 +189,12 @@ class PlanService:
     """
 
     def __init__(self, pipeline=None, workers=2, max_queue=16,
-                 cache_dir=None, backend="exact", sim_backend="auto"):
+                 cache_dir=None, backend="exact"):
         from repro.pipeline import CounterPoint
 
         if pipeline is None:
             pipeline = CounterPoint(
-                backend=backend, cache_dir=cache_dir,
-                sim_backend=sim_backend, workers=1,
+                backend=backend, cache_dir=cache_dir, workers=1,
             )
         self.pipeline = pipeline
         # Pre-build the lazily-initialised shared state *before* any

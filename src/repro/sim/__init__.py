@@ -8,19 +8,14 @@ model B) and unlocking unlimited synthetic scenario generation.
 
 Layer map
 ---------
-* :mod:`repro.sim.executor` — :class:`MuDDExecutor`: interprets a µDD
-  edge-by-edge per µop, resolving decisions through an oracle and
-  accumulating counter totals (plus per-interval time series). The
-  ``backend`` knob swaps the interpreter for a compiled engine with
-  bit-identical results.
-* :mod:`repro.sim.engines` — the vectorised compiled backend: lowers a
-  :class:`CompiledMuDD` into a decision skeleton (macro-edges between
-  decisions, numpy delta matrix) and walks it with per-decision sampler
-  closures (:data:`BACKENDS`, :func:`resolve_backend`).
-* :mod:`repro.sim.codegen` — the codegen backend: emits specialised
-  Python source per µDD (inlined branch dispatch, no per-edge dict
-  lookups), memoized in-process by µDD fingerprint and never stored on
-  disk.
+* :mod:`repro.sim.executor` — :class:`MuDDExecutor`: executes a µDD
+  per µop, resolving decisions through an oracle and accumulating
+  counter totals (plus per-interval time series). It interprets the
+  µDD edge by edge, or runs its generated program where that is exact.
+* :mod:`repro.sim.codegen` — the generated program: the µDD's decision
+  tree emitted as specialised Python source (inlined branch dispatch
+  on compiled oracle samplers, no per-edge dict lookups), memoized
+  in-process by the lowered tables and never stored on disk.
 * :mod:`repro.sim.oracles` — decision resolvers: seeded
   :class:`RandomOracle`, scripted :class:`TableOracle`, and the
   device-backed :class:`MMUOracle` that answers the Haswell model
@@ -51,7 +46,6 @@ Quick start::
 """
 
 from repro.sim.batch import BatchResult, batch_simulate, expected_totals, path_distribution
-from repro.sim.engines import BACKENDS, resolve_backend
 from repro.sim.executor import CompiledMuDD, MuDDExecutor
 from repro.sim.noise import default_multiplexer, noisy_samples, simulate_interval_matrix
 from repro.sim.oracles import MMUOracle, Oracle, PrefetchUop, RandomOracle, TableOracle
@@ -64,7 +58,6 @@ from repro.sim.scenarios import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BatchResult",
     "CompiledMuDD",
     "MMUOracle",
@@ -80,7 +73,6 @@ __all__ = [
     "expected_totals",
     "noisy_samples",
     "path_distribution",
-    "resolve_backend",
     "simulate_dataset",
     "simulate_interval_matrix",
     "simulate_observation",

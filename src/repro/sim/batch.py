@@ -19,23 +19,19 @@ This is the scenario-sweep fast path: thousands of traces or dozens of
 model variants per second, statistically indistinguishable from running
 the event-driven executor with the same weights, µop by µop.
 
-The ``backend`` knob (mirroring :class:`~repro.sim.executor.
-MuDDExecutor`'s) controls the distribution compile step: any compiled
-backend (``"vector"``/``"codegen"``/``"auto"``, the default) memoizes
-``path_distribution`` output per (µDD fingerprint, counters, weights),
-so dataset generation enumerates each model's µpaths once per process
-instead of once per observation. ``"interpreter"`` recomputes every
-call — the reference. Either way the draws are identical: the
-distribution is deterministic, and one ``rng.multinomial(U, p, size=T)``
-equals ``T`` sequential draws from the same generator (the
-batched-vs-loop parity ``tests/test_sim_equivalence.py`` pins).
+:func:`batch_simulate` memoizes ``path_distribution`` output per (µDD
+fingerprint, counters, weights), so dataset generation enumerates each
+model's µpaths once per process instead of once per observation. The
+draws do not depend on the memo: the distribution is deterministic,
+and one ``rng.multinomial(U, p, size=T)`` equals ``T`` sequential draws
+from the same generator (the batched-vs-loop parity
+``tests/test_sim_equivalence.py`` pins).
 """
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.mudd.graph import COUNTER, DECISION, END, MuDD
-from repro.sim.engines import resolve_backend
 
 
 def _branch_probabilities(prop, branches, weights):
@@ -155,13 +151,8 @@ def _weights_token(weights):
     )
 
 
-def _distribution(model, counters, weights, max_paths, backend):
-    """``path_distribution`` through the compile memo (compiled
-    backends) or straight (interpreter)."""
-    if backend == "interpreter":
-        return path_distribution(
-            model, counters=counters, weights=weights, max_paths=max_paths
-        )
+def _distribution(model, counters, weights, max_paths):
+    """``path_distribution`` through the compile memo."""
     from repro.cone.cache import mudd_fingerprint
 
     key = (
@@ -175,7 +166,7 @@ def _distribution(model, counters, weights, max_paths, backend):
         return cached
     from repro.obs.trace import get_tracer
 
-    with get_tracer().span("sim.compile", model=model.name, backend=backend):
+    with get_tracer().span("sim.compile", model=model.name):
         names, signatures, probabilities = path_distribution(
             model, counters=counters, weights=weights, max_paths=max_paths
         )
@@ -246,17 +237,14 @@ class BatchResult:
 
 def batch_simulate(
     model, n_uops, n_traces=1, counters=None, weights=None, seed=0,
-    max_paths=2000000, backend="auto",
+    max_paths=2000000,
 ):
     """Simulate ``n_traces`` independent traces of ``n_uops`` µops each.
 
     ``model`` is a single µDD or a list of µDDs; a list returns
     ``{model_name: BatchResult}`` with every variant evaluated over the
     same trace count (one pass per model — the model-sweep batch mode).
-    ``backend`` picks the distribution compile step (see the module
-    docstring); every choice draws identical totals.
     """
-    backend = resolve_backend(backend)
     if isinstance(model, (list, tuple)):
         results = {}
         for variant_index, variant in enumerate(model):
@@ -268,7 +256,6 @@ def batch_simulate(
                 weights=weights,
                 seed=seed + variant_index,
                 max_paths=max_paths,
-                backend=backend,
             )
             results[result.model_name] = result
         return results
@@ -280,10 +267,9 @@ def batch_simulate(
 
     with get_tracer().span(
         "sim.batch", model=model.name, traces=n_traces, uops=n_uops,
-        backend=backend,
     ):
         names, signatures, probabilities = _distribution(
-            model, counters, weights, max_paths, backend
+            model, counters, weights, max_paths
         )
         rng = np.random.default_rng(seed)
         counts = rng.multinomial(n_uops, probabilities, size=n_traces)

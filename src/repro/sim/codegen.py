@@ -1,36 +1,49 @@
-"""The codegen backend: specialised Python source per µDD.
+"""The generated simulator program: specialised Python source per µDD.
 
-Where :class:`~repro.sim.engines.VectorEngine` still dispatches each
-decision through dicts, this backend unrolls the µDD's *decision tree*
-— the skeleton expanded under the traversal rule, so a property
-resolved earlier on a path is statically followed, never re-asked —
-into one generated ``run_trace`` function: nested ``if``/``elif``
-branch dispatch on sampler-returned indices, a leaf bucket increment
-per µop, no per-edge dict lookups. Leaf buckets flush with one
-``counts @ leaf_deltas`` multiply, exactly like the vector engine's
-macro-edge buckets.
+The interpreter in :mod:`repro.sim.executor` walks a µDD node by node
+per µop. This module compiles a :class:`~repro.sim.executor.CompiledMuDD`
+once more, in three steps:
 
-Generated programs are memoized in-process by the µDD fingerprint
-(:func:`repro.cone.cache.mudd_fingerprint` over the µDD plus counter
-ordering) as compiled code objects. They are never written to or read
-from disk: regenerating one costs well under a second even for the
-largest models, and nothing read from a cache directory may run code.
+1. **Skeleton.** Runs of non-decision nodes between decisions collapse
+   into macro-edges carrying a step count and a counter-delta row.
+2. **Tree.** The skeleton is expanded under the traversal rule into the
+   µDD's decision tree: a property resolved earlier on a path is
+   statically followed, never re-asked, and a followed label the
+   decision does not offer becomes a raise-leaf carrying the
+   interpreter's exact dispatch error.
+3. **Source.** The tree is emitted as one ``run_trace`` function:
+   nested ``if``/``elif`` dispatch on the branch indices that
+   per-decision sampler closures (:meth:`repro.sim.oracles.Oracle.
+   compile_sampler`) return, one leaf bucket bump per µop, no per-edge
+   dict lookups. The caller folds the buckets into counter totals with
+   one ``counts @ leaf_deltas`` multiply.
 
-The tree form only runs when it provably cannot trip the ``max_steps``
-valve (``max_path_len <= max_steps``) and the tree stays under the
-expansion caps; anything else — device oracles with live hooks,
-pathological fan-out, tight step bounds — falls back to the inherited
-vector walk, which is bit-for-bit the interpreter.
+:class:`~repro.sim.executor.MuDDExecutor` runs the program only where
+it is exact: the oracle's hooks are inert (:func:`hooks_are_noops`),
+the tree fits under :data:`MAX_TREE_NODES` / :data:`MAX_TREE_DEPTH`,
+and the longest walk cannot trip ``max_steps``. Oracle samplers consume
+the state ``resolve`` would, in path order, so RNG streams stay aligned
+with the interpreter (``tests/test_sim_equivalence.py`` fuzzes this).
+
+Programs are memoized in-process, keyed by a hash of the lowered tables
+themselves (:func:`program_for`): the program dispatches on decision
+node indices and edge-order branch indices, so two µDDs share one only
+when those tables are equal. Programs are never written to or read from
+disk: nothing read from a cache directory may run code.
 """
+
+import hashlib
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.engines import VectorEngine
+from repro.obs.trace import get_tracer
+from repro.sim.executor import _OP_COUNT, _OP_HALT, _OP_SWITCH
+from repro.sim.oracles import Oracle
 
 #: Expansion caps: beyond these the unrolled tree stops paying for
-#: itself (and deep nesting strains the Python parser), so the engine
-#: keeps the vector walk instead.
+#: itself (and deep nesting strains the Python parser), so the
+#: executor interprets instead.
 MAX_TREE_NODES = 20000
 MAX_TREE_DEPTH = 60
 
@@ -39,55 +52,169 @@ _DISPATCH_ERROR = (
 )
 
 
+def hooks_are_noops(oracle):
+    """Whether an oracle's device hooks are provably inert, making it
+    *samplable*: ``begin_uop``/``pending_uops`` are the base no-ops (or
+    absent) and there is no ``on_event``. Resolution statefulness is
+    fine — the program preserves the per-µop, path-order call sequence —
+    but a hooked oracle (e.g. :class:`~repro.sim.oracles.MMUOracle`)
+    must be interpreted so its bookkeeping runs."""
+    cls = type(oracle)
+    begin = getattr(cls, "begin_uop", None)
+    if begin is not None and begin is not Oracle.begin_uop:
+        return False
+    pending = getattr(cls, "pending_uops", None)
+    if pending is not None and pending is not Oracle.pending_uops:
+        return False
+    if getattr(oracle, "on_event", None) is not None:
+        return False
+    instance = getattr(oracle, "__dict__", None)
+    if instance and ("begin_uop" in instance or "pending_uops" in instance):
+        return False
+    return True
+
+
+def sampler_for(oracle, prop, values, model="µDD"):
+    """A branch-index sampler for one decision, honouring the oracle's
+    own :meth:`compile_sampler` when it has one (duck-typed oracles get
+    the generic resolve-and-map wrapper)."""
+    compile_sampler = getattr(oracle, "compile_sampler", None)
+    if compile_sampler is not None:
+        return compile_sampler(prop, values, model=model)
+    return Oracle.compile_sampler(oracle, prop, values, model=model)
+
+
+# -- skeleton ---------------------------------------------------------------
+
+class _MacroEdge:
+    """One compressed run of non-decision nodes.
+
+    ``steps`` counts every node the interpreter would visit on this run
+    (including the terminal decision, excluding END), ``deltas`` the
+    observed-counter increments, and ``terminal`` the decision node
+    index (``-1`` = END).
+    """
+
+    __slots__ = ("steps", "deltas", "terminal")
+
+    def __init__(self, steps, deltas, terminal):
+        self.steps = steps
+        self.deltas = deltas
+        self.terminal = terminal
+
+
+class _Skeleton:
+    """The decision-skeleton lowering of a compiled µDD.
+
+    ``start_edge`` leaves START; ``props``, ``values`` and
+    ``branch_edges`` map each reachable decision node index to its
+    property, its branch labels in edge order, and
+    ``{label: macro-edge}``.
+    """
+
+    __slots__ = ("start_edge", "props", "values", "branch_edges")
+
+    def __init__(self, compiled):
+        self.props = {}
+        self.values = {}
+        edge_for = {}
+        pending = [compiled.start]
+        while pending:
+            anchor = pending.pop()
+            if anchor in edge_for:
+                continue
+            deltas = [0] * len(compiled.counters)
+            steps = 0
+            node = anchor
+            terminal = -1
+            while compiled.ops[node] != _OP_HALT:
+                steps += 1
+                if compiled.ops[node] == _OP_SWITCH:
+                    terminal = node
+                    break
+                if compiled.ops[node] == _OP_COUNT and compiled.slots[node] >= 0:
+                    deltas[compiled.slots[node]] += 1
+                node = compiled.nexts[node]
+            edge_for[anchor] = _MacroEdge(steps, deltas, terminal)
+            if terminal >= 0 and terminal not in self.props:
+                self.props[terminal] = compiled.properties[compiled.slots[terminal]]
+                branches = compiled.branches[terminal]
+                self.values[terminal] = tuple(branches)
+                pending.extend(branches.values())
+        self.branch_edges = {
+            terminal: {
+                label: edge_for[target]
+                for label, target in compiled.branches[terminal].items()
+            }
+            for terminal in self.props
+        }
+        self.start_edge = edge_for[compiled.start]
+
+
 # -- tree building and source emission --------------------------------------
 
 class _TreeProgram:
-    """One generated simulator: source text, its compiled code object,
-    and the bind-time leaf tables."""
+    """One generated simulator.
 
-    __slots__ = ("source", "code", "leaf_deltas", "errors")
+    ``decisions`` lists the ``(node, property, branch labels)`` the
+    program samples, ``leaf_deltas`` is the ``leaves x counters``
+    delta matrix, ``errors`` the raise-leaf messages, and
+    ``max_path_len`` the longest walk in interpreter steps — a run
+    whose ``max_steps`` is at least this can never trip the valve.
+    """
 
-    def __init__(self, source, leaf_deltas, errors):
-        self.source = source
-        self.code = compile(source, "<repro-codegen>", "exec")
-        self.leaf_deltas = np.asarray(leaf_deltas, dtype=np.int64)
-        self.errors = list(errors)
+    __slots__ = ("bind", "decisions", "leaf_deltas", "errors",
+                 "max_path_len")
 
-    def bind(self, samplers, counts):
-        """Exec the program and close it over this run's samplers and
-        leaf buckets; returns the ``run_trace(uops) -> n`` callable."""
+    def __init__(self, source, decisions, leaf_deltas, errors, max_path_len):
         namespace = {"SimulationError": SimulationError}
-        exec(self.code, namespace)
-        return namespace["bind"](samplers, counts, self.errors)
+        exec(compile(source, "<repro-codegen>", "exec"), namespace)
+        self.bind = namespace["bind"]
+        self.decisions = decisions
+        self.leaf_deltas = leaf_deltas
+        self.errors = errors
+        self.max_path_len = max_path_len
+
+    def runner(self, oracle, model, counts):
+        """The program closed over ``oracle``'s branch samplers and the
+        leaf buckets ``counts``: a ``run_trace(uops)`` callable."""
+        samplers = {
+            node: sampler_for(oracle, prop, values, model=model)
+            for node, prop, values in self.decisions
+        }
+        return self.bind(samplers, counts, self.errors)
 
 
-def _build_tree(skeleton):
+def _build_tree(skeleton, model):
     """Expand the skeleton into the decision tree, or ``None`` when the
     expansion caps are exceeded.
 
-    Returns ``(root, leaf_deltas, errors)``. Tree nodes are
-    ``("leaf", leaf_id)``, ``("raise", error_id)``, or
+    Returns ``(root, leaf_deltas, errors, max_path_len)``. Tree nodes
+    are ``("leaf", leaf_id)``, ``("raise", error_id)``, or
     ``("dec", decision_node, [children in edge order])``. Repeated
     properties are resolved statically: an already-assigned decision
     contributes no child fan-out (and no sampler call), exactly the
     interpreter's traversal rule.
     """
-    n_counters = skeleton.delta_matrix.shape[1]
     leaf_deltas = []
     errors = []
     budget = [MAX_TREE_NODES]
+    longest = [0]
 
-    def expand(edge, assignments, deltas, depth):
+    def expand(edge, assignments, deltas, steps, depth):
         if depth > MAX_TREE_DEPTH:
             return None
-        budget[0] -= 1
-        if budget[0] < 0:
-            return None
-        deltas = [
-            deltas[i] + edge.deltas[i] for i in range(n_counters)
-        ]
-        terminal = edge.terminal
-        while terminal >= 0:
+        while True:
+            budget[0] -= 1
+            if budget[0] < 0:
+                return None
+            deltas = [total + delta for total, delta in zip(deltas, edge.deltas)]
+            steps += edge.steps
+            terminal = edge.terminal
+            if terminal < 0:
+                longest[0] = max(longest[0], steps)
+                leaf_deltas.append(deltas)
+                return ("leaf", len(leaf_deltas) - 1)
             prop = skeleton.props[terminal]
             assigned = assignments.get(prop)
             if assigned is None:
@@ -95,41 +222,33 @@ def _build_tree(skeleton):
             # Statically follow the earlier assignment; a label the
             # decision does not offer raises at runtime, like the
             # interpreter's dispatch error.
-            nxt = skeleton.branch_edges[terminal].get(assigned)
-            if nxt is None:
+            edge = skeleton.branch_edges[terminal].get(assigned)
+            if edge is None:
+                longest[0] = max(longest[0], steps)
                 errors.append(
                     _DISPATCH_ERROR
-                    % (prop, assigned, skeleton.compiled.name,
+                    % (prop, assigned, model,
                        ", ".join(skeleton.values[terminal]))
                 )
                 return ("raise", len(errors) - 1)
-            budget[0] -= 1
-            if budget[0] < 0:
-                return None
-            deltas = [
-                deltas[i] + nxt.deltas[i] for i in range(n_counters)
-            ]
-            terminal = nxt.terminal
-        if terminal < 0:
-            leaf_deltas.append(deltas)
-            return ("leaf", len(leaf_deltas) - 1)
         children = []
         for label in skeleton.values[terminal]:
             branch_assignments = dict(assignments)
             branch_assignments[prop] = label
             child = expand(
                 skeleton.branch_edges[terminal][label],
-                branch_assignments, deltas, depth + 1,
+                branch_assignments, deltas, steps, depth + 1,
             )
             if child is None:
                 return None
             children.append(child)
         return ("dec", terminal, children)
 
-    root = expand(skeleton.start_edge, {}, [0] * n_counters, 0)
+    start = skeleton.start_edge
+    root = expand(start, {}, [0] * len(start.deltas), 0, 0)
     if root is None:
         return None
-    return root, leaf_deltas, errors
+    return root, leaf_deltas, errors, longest[0]
 
 
 def _emit_source(root, decisions):
@@ -145,7 +264,6 @@ def _emit_source(root, decisions):
     for node in decisions:
         lines.append("        _s%d = samplers[%d]" % (node, node))
     lines.append("        _counts = counts")
-    lines.append("        n = 0")
     lines.append("        for _op in uops:")
 
     def emit(node, indent):
@@ -174,8 +292,6 @@ def _emit_source(root, decisions):
             emit(child, indent + 1)
 
     emit(root, 3)
-    lines.append("            n += 1")
-    lines.append("        return n")
     lines.append("    return run_trace")
     return "\n".join(lines) + "\n"
 
@@ -194,104 +310,73 @@ def _tree_decisions(root):
     return seen
 
 
-#: In-process memo of compiled programs, keyed by µDD fingerprint.
+def _build_program(compiled):
+    """A fresh :class:`_TreeProgram`, or ``None`` past the caps."""
+    skeleton = _Skeleton(compiled)
+    built = _build_tree(skeleton, compiled.name)
+    if built is None:
+        return None
+    root, leaf_deltas, errors, max_path_len = built
+    decisions = _tree_decisions(root)
+    return _TreeProgram(
+        _emit_source(root, decisions),
+        [(node, skeleton.props[node], skeleton.values[node])
+         for node in decisions],
+        np.array(leaf_deltas, dtype=np.int64).reshape(
+            len(leaf_deltas), len(compiled.counters)
+        ),
+        errors,
+        max_path_len,
+    )
+
+
+def _tables_key(compiled):
+    """Content hash of everything a program depends on: the model name
+    (raise-leaf messages carry it), counter ordering, properties, the
+    opcode/slot/successor tables, branches in edge order, and start.
+    EVENT labels stay out — the program only runs for oracles without
+    an ``on_event`` hook."""
+    tables = (
+        compiled.name,
+        tuple(compiled.counters),
+        tuple(compiled.properties),
+        tuple(compiled.ops),
+        tuple(compiled.slots),
+        tuple(compiled.nexts),
+        tuple(
+            None if branches is None else tuple(branches.items())
+            for branches in compiled.branches
+        ),
+        compiled.start,
+    )
+    return hashlib.sha256(repr(tables).encode("utf-8")).hexdigest()
+
+
+#: In-process memo of generated programs, keyed by :func:`_tables_key`.
 #: ``False`` marks a µDD whose tree exceeded the expansion caps.
 _PROGRAM_MEMO = {}
 _PROGRAM_MEMO_CAP = 256
 
 
-def _program_for(skeleton, fingerprint):
-    """The generated program for a skeleton, memoized by fingerprint;
-    ``None`` when the tree form is unavailable for this µDD."""
-    cached = _PROGRAM_MEMO.get(fingerprint)
-    if cached is not None:
-        return cached or None
-    built = _build_tree(skeleton)
-    if built is None:
-        _memoize(fingerprint, False)
-        return None
-    root, leaf_deltas, errors = built
-    source = _emit_source(root, _tree_decisions(root))
-    program = _TreeProgram(source, leaf_deltas, errors)
-    _memoize(fingerprint, program)
-    return program
+def program_for(compiled):
+    """The generated program for a :class:`~repro.sim.executor.
+    CompiledMuDD`, or ``None`` when its tree exceeds the expansion
+    caps. Built under a ``sim.compile`` span on a memo miss."""
+    key = _tables_key(compiled)
+    program = _PROGRAM_MEMO.get(key)
+    if program is None:
+        with get_tracer().span("sim.compile", model=compiled.name):
+            program = _build_program(compiled) or False
+        if len(_PROGRAM_MEMO) >= _PROGRAM_MEMO_CAP:
+            _PROGRAM_MEMO.pop(next(iter(_PROGRAM_MEMO)))
+        _PROGRAM_MEMO[key] = program
+    return program or None
 
 
-def _memoize(fingerprint, program):
-    if len(_PROGRAM_MEMO) >= _PROGRAM_MEMO_CAP:
-        _PROGRAM_MEMO.pop(next(iter(_PROGRAM_MEMO)))
-    _PROGRAM_MEMO[fingerprint] = program
-
-
-class CodegenEngine(VectorEngine):
-    """The codegen backend.
-
-    Samplable oracles run the generated tree-form ``run_trace`` when it
-    provably cannot trip ``max_steps``; everything else inherits the
-    vector walk. Leaf buckets are deferred and flushed alongside the
-    macro-edge buckets.
-    """
-
-    name = "codegen"
-
-    def __init__(self, compiled):
-        VectorEngine.__init__(self, compiled)
-        self._program = None
-        self._program_resolved = False
-        self._counts = None
-        self._counts_dirty = False
-
-    def _resolve_program(self):
-        if not self._program_resolved:
-            self._program_resolved = True
-            self._program = _program_for(
-                self.skeleton, self.skeleton.compiled.fingerprint
-            )
-            if self._program is not None:
-                self._counts = [0] * len(self._program.leaf_deltas)
-        return self._program
-
-    def _run_samplable(self, oracle, uops, max_steps):
-        if self.skeleton.max_path_len <= max_steps:
-            program = self._resolve_program()
-            if program is not None:
-                runner = program.bind(self._samplers(oracle), self._counts)
-                n = runner(uops)
-                if n:
-                    self._counts_dirty = True
-                return n
-        return VectorEngine._run_samplable(self, oracle, uops, max_steps)
-
-    def flush(self, executor):
-        VectorEngine.flush(self, executor)
-        if not self._counts_dirty:
-            return
-        pending = (
-            np.asarray(self._counts, dtype=np.int64)
-            @ self._program.leaf_deltas
-        )
-        totals = executor.totals
-        for index, value in enumerate(pending):
-            if value:
-                totals[index] += int(value)
-        self._counts = [0] * len(self._program.leaf_deltas)
-        self._counts_dirty = False
-
-    def reset(self):
-        VectorEngine.reset(self)
-        if self._counts is not None:
-            self._counts = [0] * len(self._program.leaf_deltas)
-        self._counts_dirty = False
-
-
-def auto_engine(compiled):
-    """The ``backend="auto"`` heuristic: codegen (it embeds the vector
-    walk as its own fallback, so it never loses more than compile cost),
-    dropping to plain vector only if program generation itself fails."""
-    try:
-        return CodegenEngine(compiled)
-    except Exception:
-        return VectorEngine(compiled)
-
-
-__all__ = ["CodegenEngine", "auto_engine"]
+__all__ = [
+    "MAX_TREE_DEPTH",
+    "MAX_TREE_NODES",
+    "hooks_are_noops",
+    "program_for",
+    "sampler_for",
+]

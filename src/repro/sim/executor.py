@@ -18,16 +18,17 @@ signatures, i.e. a point inside the generating model's cone by
 construction (the counter-conservation invariant ``tests/test_sim.py``
 checks).
 
-The interpreter pre-lowers the µDD into dense integer tables
+The executor pre-lowers the µDD into dense integer tables
 (:class:`CompiledMuDD`) so the per-µop walk touches only list indexing —
-no dict-of-objects traversal on the hot path. Faster still are the
-compiled backends (``backend="vector"``/``"codegen"``/``"auto"``, see
-:mod:`repro.sim.engines` and :mod:`repro.sim.codegen`): bit-for-bit
-equivalent engines that compress the walk to decision-to-decision hops
-with deferred numpy counter accumulation, or run generated per-µDD
-Python source. The interpreter (``backend="interpreter"``, the default)
-remains the reference semantics every backend is fuzzed against.
+no dict-of-objects traversal on the hot path. :meth:`MuDDExecutor.run`
+goes further where it can: for an oracle with inert hooks it runs the
+µDD's generated program (:mod:`repro.sim.codegen`), bit-for-bit equal
+to the interpreter and several times faster. The interpreter runs
+everything else and remains the reference semantics the program is
+fuzzed against.
 """
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.mudd.graph import COUNTER, DECISION, END, EVENT, MuDD
@@ -58,7 +59,6 @@ class CompiledMuDD:
         "branches",
         "events",
         "start",
-        "fingerprint",
     )
 
     def __init__(self, mudd, counters=None):
@@ -100,20 +100,14 @@ class CompiledMuDD:
                     self.events[i] = node.label
                 self.nexts[i] = index[out[0].target]
         self.start = index[mudd.start_node().node_id]
-        # Content address of (structure, counter ordering) — the cache
-        # key for generated simulator programs (repro.sim.codegen).
-        from repro.cone.cache import mudd_fingerprint
-
-        self.fingerprint = mudd_fingerprint(mudd, self.counters)
 
     def branch_values(self, node_index):
         """Branch labels of a decision node, in edge order.
 
-        Edge order is load-bearing: samplers compiled by the fast
-        backends dispatch on branch *indices* into this list, and the
-        ``branches`` dicts preserve µDD edge insertion order across
-        compile and pickle round-trips
-        (``tests/test_sim_equivalence.py`` pins this).
+        Edge order is load-bearing: generated programs dispatch on
+        branch *indices* into this list, and the ``branches`` dicts
+        preserve µDD edge insertion order across compile and pickle
+        round-trips (``tests/test_sim_equivalence.py`` pins this).
         """
         return list(self.branches[node_index])
 
@@ -133,21 +127,16 @@ class MuDDExecutor:
     max_steps:
         Safety valve on nodes visited per µop (malformed oracles cannot
         loop because µDDs are acyclic, but a generous bound keeps the
-        failure mode explicit). Enforced identically — same
-        :class:`SimulationError`, same message, same oracle-call cutoff
-        — by every backend.
-    backend:
-        Execution engine: ``"interpreter"`` (the default; the reference
-        node-by-node walk), ``"vector"`` (decision-skeleton walk with
-        deferred numpy counter accumulation), ``"codegen"`` (generated
-        per-µDD Python source, cached by µDD fingerprint), or
-        ``"auto"`` (codegen with built-in fallbacks). All backends are
-        bit-for-bit equivalent; the knob only trades compile time for
-        per-µop speed.
+        failure mode explicit).
+
+    :meth:`run` picks its own engine: the generated program when the
+    oracle's hooks are inert, the program exists (the µDD's decision
+    tree fits under the :mod:`repro.sim.codegen` caps), and its longest
+    walk is within ``max_steps``; the interpreter otherwise.
+    :meth:`run_uop` and :meth:`run_intervals` always interpret.
     """
 
-    def __init__(self, mudd, counters=None, max_steps=100000,
-                 backend="interpreter"):
+    def __init__(self, mudd, counters=None, max_steps=100000):
         if isinstance(mudd, CompiledMuDD):
             self.compiled = mudd
             if counters is not None and list(counters) != mudd.counters:
@@ -159,42 +148,7 @@ class MuDDExecutor:
         self.max_steps = max_steps
         self.totals = [0] * len(self.compiled.counters)
         self.n_uops = 0
-        from repro.sim.engines import resolve_backend
-
-        self.backend = resolve_backend(backend)
-        self._engine = self._build_engine()
-
-    def _build_engine(self):
-        """Lower the compiled tables for the requested backend (``None``
-        for the interpreter), under a ``sim.compile`` obs span."""
-        if self.backend == "interpreter":
-            return None
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-        with tracer.span(
-            "sim.compile", model=self.compiled.name, backend=self.backend
-        ):
-            if self.backend == "vector":
-                from repro.sim.engines import VectorEngine
-
-                engine = VectorEngine(self.compiled)
-            elif self.backend == "codegen":
-                from repro.sim.codegen import CodegenEngine
-
-                engine = CodegenEngine(self.compiled)
-            else:
-                from repro.sim.codegen import auto_engine
-
-                engine = auto_engine(self.compiled)
-        if tracer.enabled:
-            tracer.metrics.counter("sim.backend.%s" % engine.name).inc()
-        return engine
-
-    def _flush(self):
-        """Fold any backend-deferred counts into ``totals``."""
-        if self._engine is not None:
-            self._engine.flush(self)
+        self._program = None
 
     @property
     def counters(self):
@@ -208,21 +162,6 @@ class MuDDExecutor:
         stateful oracles (the MMU devices) know which access they are
         deciding for.
         """
-        if self._engine is not None:
-            assignments = self._engine.run_uop(self, oracle, op)
-            self._engine.flush(self)
-            return assignments
-        return self._interpret_uop(oracle, op)
-
-    def _step(self, oracle, op):
-        """One µop on the active engine, counters possibly deferred —
-        the batch-path primitive (``run``/``run_intervals`` flush at
-        read points instead of per µop)."""
-        if self._engine is not None:
-            return self._engine.run_uop(self, oracle, op)
-        return self._interpret_uop(oracle, op)
-
-    def _interpret_uop(self, oracle, op):
         compiled = self.compiled
         ops = compiled.ops
         totals = self.totals
@@ -280,10 +219,21 @@ class MuDDExecutor:
         ``uops`` is any iterable of µops — :meth:`Workload.ops
         <repro.workloads.base.Workload.ops>` output, a
         :class:`~repro.workloads.trace.TraceWorkload` replay, or plain
-        ``None`` placeholders for oracles that ignore the µop.
+        ``None`` placeholders for oracles that ignore the µop. When a
+        µop raises, the totals keep every µop completed before it; the
+        failing µop's partial walk is counted only when interpreted.
         """
-        if self._engine is not None:
-            self._engine.run_trace(self, oracle, uops)
+        program = self._exact_program(oracle)
+        if program is not None:
+            counts = [0] * len(program.leaf_deltas)
+            try:
+                program.runner(oracle, self.compiled.name, counts)(uops)
+            finally:
+                # Every completed µop bumped exactly one leaf bucket.
+                self.n_uops += sum(counts)
+                deltas = np.asarray(counts, dtype=np.int64) @ program.leaf_deltas
+                for slot, value in enumerate(deltas.tolist()):
+                    self.totals[slot] += value
             return self.snapshot()
         begin = getattr(oracle, "begin_uop", None)
         for op in self._uop_stream(oracle, uops):
@@ -291,6 +241,20 @@ class MuDDExecutor:
                 begin(op)
             self.run_uop(oracle, op)
         return self.snapshot()
+
+    def _exact_program(self, oracle):
+        """The generated program when it runs ``oracle`` exactly, else
+        ``None`` (see the class docstring)."""
+        from repro.sim.codegen import hooks_are_noops, program_for
+
+        if not hooks_are_noops(oracle):
+            return None
+        if self._program is None:
+            self._program = program_for(self.compiled) or False
+        program = self._program
+        if program and program.max_path_len <= self.max_steps:
+            return program
+        return None
 
     def run_intervals(self, oracle, uops, uops_per_interval):
         """Execute a stream and yield per-interval counter deltas — the
@@ -309,7 +273,6 @@ class MuDDExecutor:
             if not schedule or any(size <= 0 for size in schedule):
                 raise SimulationError("interval schedule must be positive ints")
         begin = getattr(oracle, "begin_uop", None)
-        self._flush()
         previous = list(self.totals)
         in_interval = 0
         slot = 0
@@ -317,10 +280,9 @@ class MuDDExecutor:
         for op in self._uop_stream(oracle, uops):
             if begin is not None:
                 begin(op)
-            self._step(oracle, op)
+            self.run_uop(oracle, op)
             in_interval += 1
             if in_interval == target:
-                self._flush()
                 current = list(self.totals)
                 yield {
                     name: current[i] - previous[i]
@@ -331,7 +293,6 @@ class MuDDExecutor:
                 slot += 1
                 target = schedule[slot % len(schedule)]
         if in_interval:
-            self._flush()
             current = list(self.totals)
             yield {
                 name: current[i] - previous[i]
@@ -341,7 +302,6 @@ class MuDDExecutor:
     # -- results ---------------------------------------------------------------
     def snapshot(self):
         """Cumulative counter totals (counter name → count)."""
-        self._flush()
         return {
             name: self.totals[i] for i, name in enumerate(self.compiled.counters)
         }
@@ -350,12 +310,9 @@ class MuDDExecutor:
         """Zero the accumulated totals (the compiled model is reused)."""
         self.totals = [0] * len(self.compiled.counters)
         self.n_uops = 0
-        if self._engine is not None:
-            self._engine.reset()
 
     def __repr__(self):
-        return "MuDDExecutor(%r, %d µops executed, backend=%s)" % (
+        return "MuDDExecutor(%r, %d µops executed)" % (
             self.compiled.name,
             self.n_uops,
-            self.backend,
         )

@@ -55,7 +55,6 @@ def simulate_interval_matrix(
     weights=None,
     seed=0,
     multiplexer=None,
-    backend="auto",
 ):
     """Batched noisy measurement of one simulated run.
 
@@ -64,9 +63,7 @@ def simulate_interval_matrix(
     ``batch_simulate`` call with intervals as the batch axis), then the
     whole run is pushed through the multiplexing noise stage. Returns a
     :class:`SampleMatrix` whose ``truth`` is the exact per-interval
-    ground truth. ``backend`` is the distribution compile knob of
-    :func:`~repro.sim.batch.batch_simulate` (identical samples either
-    way).
+    ground truth.
     """
     if n_intervals < 2:
         raise SimulationError("need at least 2 intervals for a sample matrix")
@@ -77,7 +74,6 @@ def simulate_interval_matrix(
         counters=counters,
         weights=weights,
         seed=seed,
-        backend=backend,
     )
     return collect_interval_samples(
         result.counters, result.totals, multiplexer=multiplexer

@@ -65,10 +65,10 @@ class Oracle:
         returned callable must consume exactly the state a
         :meth:`resolve` call would (same RNG draws, same side effects)
         and map the chosen label to its edge index — the contract the
-        fast backends (:mod:`repro.sim.engines`) rely on for bit-for-bit
-        equivalence with the interpreter. The base implementation wraps
-        :meth:`resolve`; subclasses may specialise (see
-        :class:`RandomOracle`).
+        generated program (:mod:`repro.sim.codegen`) relies on for
+        bit-for-bit equivalence with the interpreter. The base
+        implementation wraps :meth:`resolve`; subclasses may specialise
+        (see :class:`RandomOracle`).
         """
         values = list(values)
         index = {value: position for position, value in enumerate(values)}

@@ -46,7 +46,6 @@ def simulate_observation(
     multiplexer=None,
     noisy=False,
     name=None,
-    backend="auto",
 ):
     """Simulate one measured run of ``model``: exact totals plus a
     perf-style interval sample matrix.
@@ -56,9 +55,7 @@ def simulate_observation(
     draws. ``noisy=True`` (or an explicit ``multiplexer``) replays the
     interval stream through counter multiplexing so the samples carry
     realistic correlated noise. Returns an
-    :class:`~repro.models.dataset.Observation`. ``backend`` is the sim
-    backend knob (compiled backends memoize the model's µpath
-    distribution across runs; totals are identical for every choice).
+    :class:`~repro.models.dataset.Observation`.
     """
     from repro.models.dataset import Observation
     from repro.obs.trace import get_tracer
@@ -73,7 +70,6 @@ def simulate_observation(
         )
     with get_tracer().span(
         "sim.observe", model=mudd.name, uops=n_uops, intervals=n_intervals,
-        backend=backend,
     ):
         if noisy and multiplexer is None:
             multiplexer = default_multiplexer(seed=seed)
@@ -84,14 +80,10 @@ def simulate_observation(
             weights=weights,
             seed=seed,
             multiplexer=multiplexer,
-            backend=backend,
         )
         totals = samples.true_totals()
         if remainder:
-            tail = batch_simulate(
-                mudd, remainder, weights=weights, seed=seed + 1,
-                backend=backend,
-            )
+            tail = batch_simulate(mudd, remainder, weights=weights, seed=seed + 1)
             for counter, value in tail.observation(0).items():
                 totals[counter] += value
         totals = {counter: int(value) for counter, value in totals.items()}
@@ -126,20 +118,18 @@ def simulate_dataset(
 
 
 def trace_observation(model, oracle, workload, n_uops, n_intervals=20,
-                      name=None, backend="interpreter"):
+                      name=None):
     """Simulate one run the event-driven way: execute the µDD over a
     workload's µop stream with a stateful (device) oracle, collecting
     per-interval deltas. This is the path real address traces take
-    (:class:`repro.workloads.trace.TraceWorkload` is a workload).
-    ``backend`` selects the :class:`MuDDExecutor` engine — identical
-    observations, different wall-clock."""
+    (:class:`repro.workloads.trace.TraceWorkload` is a workload)."""
     from repro.models.dataset import Observation
 
     mudd = as_mudd(model, name=name)
     if n_intervals < 2:
         raise SimulationError("need at least 2 intervals per observation")
     per_interval = max(1, n_uops // n_intervals)
-    executor = MuDDExecutor(mudd, backend=backend)
+    executor = MuDDExecutor(mudd)
     intervals = list(
         executor.run_intervals(oracle, workload.ops(n_uops), per_interval)
     )
@@ -155,7 +145,7 @@ def trace_observation(model, oracle, workload, n_uops, n_intervals=20,
 
 def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
                 seed=0, backend="exact", use_regions=False, confidence=0.99,
-                cache_dir=None, sim_backend="auto"):
+                cache_dir=None):
     """Simulate observations from one model; test every candidate.
 
     Returns ``{candidate_name: AnalysisReport}``. The observed model
@@ -174,8 +164,7 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
     ever been refuted) even across processes and CI runs. Each
     candidate runs as a one-op ``analyze`` plan through
     :meth:`repro.pipeline.CounterPoint.analyze`. ``backend`` is the LP
-    backend; ``sim_backend`` the simulation engine knob (identical
-    observations for every choice).
+    backend.
     """
     from repro.cone.cache import get_model_cone
     from repro.pipeline import CounterPoint
@@ -188,7 +177,7 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
         )
     observation = simulate_observation(
         observed_model, n_uops=n_uops, weights=weights, seed=seed,
-        noisy=use_regions, backend=sim_backend,
+        noisy=use_regions,
     )
     counters = observation.samples.counters
     counterpoint = CounterPoint(backend=backend, confidence=confidence)

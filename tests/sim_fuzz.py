@@ -3,7 +3,7 @@
 Grows random acyclic decision diagrams over all five node kinds
 (START / EVENT / COUNTER / DECISION / END) so the fuzz sweep in
 ``test_sim_equivalence.py`` exercises every structural feature the
-execution backends must agree on:
+generated program and the interpreter must agree on:
 
 * configurable depth and decision fan-out,
 * repeated properties along a path (the traversal rule: a property

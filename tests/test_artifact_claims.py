@@ -132,6 +132,106 @@ class TestEvictionRace:
         assert replay.to_dict() == baseline.to_dict()
 
 
+def _replace_payloads(root, payload):
+    """Rewrite every entry under ``root`` as a valid envelope around a
+    foreign ``payload``."""
+    for name in os.listdir(root):
+        if not name.endswith(".json"):
+            continue
+        path = os.path.join(root, name)
+        with open(path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        envelope["payload"] = payload
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+
+
+class TestUndecodablePayloadsAreMisses:
+    """An entry whose payload does not decode is a miss everywhere —
+    in the store's own counters and in the trace summary — never a hit
+    that the caller then throws away."""
+
+    @staticmethod
+    def _lookup(kind, cache_dir):
+        """Warm one ``kind`` entry, make its payload foreign, and look
+        it up again from a fresh reader under a fresh tracer; returns
+        ``(store, the kind's row of the trace summary's caches)``."""
+        from repro.cone import ModelConeCache
+        from repro.models.bundled import load_bundled_model
+        from repro.obs import Tracer, activate, summarize_records
+        from tests.test_session import dataset, tiny_cone
+
+        mudd = load_bundled_model("merging_load_side")
+        if kind == "cone":
+            ModelConeCache(disk=cache_dir).get(mudd)
+            root = os.path.join(cache_dir, "cones")
+        else:
+            warm = AnalysisSession(store=cache_dir, backend="exact")
+            if kind == "verdict":
+                warm.sweep(tiny_cone(), dataset(1))
+            else:
+                warm.analyze(tiny_cone(), dataset(1)[0].point())
+            root = warm.store.root
+        _replace_payloads(root, {"counters": []})
+
+        tracer = Tracer()
+        with activate(tracer):
+            if kind == "cone":
+                fresh = ModelConeCache(disk=cache_dir)
+                fresh.get(mudd)
+                assert fresh.builds == 1
+                store = fresh.disk.store
+            else:
+                cold = AnalysisSession(store=cache_dir, backend="exact")
+                if kind == "verdict":
+                    cold.sweep(tiny_cone(), dataset(1))
+                    assert cold.stats.tests == 1
+                else:
+                    cold.analyze(tiny_cone(), dataset(1)[0].point())
+                assert cold.stats.store_hits == 0
+                store = cold.store
+        return store, summarize_records(tracer.records)["caches"][kind]
+
+    @pytest.mark.parametrize("kind", ["cone", "verdict", "report"])
+    def test_foreign_payload_counts_one_miss(self, tmp_path, kind):
+        store, row = self._lookup(kind, str(tmp_path / "cache"))
+        assert (store.hits, store.misses) == (0, 1)
+        assert (row["hits"], row["misses"]) == (0, 1)
+        assert row["hit_rate"] == 0.0
+
+
+class TestSessionStoreDirectory:
+    def test_session_store_leaves_user_files_alone(self, tmp_path):
+        """``AnalysisSession(store=<dir>)`` keeps its artifacts in
+        ``<dir>/artifacts``: clearing or pruning the store never touches
+        the user's own files in ``<dir>``."""
+        from tests.test_session import dataset, tiny_cone
+
+        user_dir = tmp_path / "work"
+        user_dir.mkdir()
+        notes = user_dir / "notes.json"
+        notes.write_text('{"mine": true}')
+        draft = user_dir / "draft.tmp"
+        draft.write_text("half-written")
+        _backdate(str(draft), 3600)
+
+        session = AnalysisSession(store=str(user_dir), backend="exact")
+        session.sweep(tiny_cone(), dataset(3))
+        assert len(session.store) == 3
+        session.store.clear()
+        assert len(session.store) == 0
+        session.store.max_bytes = 1
+        session.sweep(tiny_cone(), dataset(3, offset=3))
+        session.store.prune()
+        assert notes.read_text() == '{"mine": true}'
+        assert draft.read_text() == "half-written"
+        assert session.store.root == str(user_dir / "artifacts")
+
+    def test_store_instance_is_used_as_given(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "mine"), max_bytes=None)
+        assert AnalysisSession(store=store).store is store
+
+
 class TestClaimTable:
     def test_local_claim_release_wait(self):
         claims = ClaimTable()

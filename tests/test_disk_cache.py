@@ -36,7 +36,6 @@ from repro.models.haswell import ALL_COUNTERS, build_mudd
 from repro.obs import Tracer
 from repro.pipeline import CounterPoint
 from repro.sim import MuDDExecutor, RandomOracle, as_mudd, simulate_dataset
-from repro.sim.executor import CompiledMuDD
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -296,7 +295,7 @@ _CODEGEN_RUN_SCRIPT = """
 import json
 from repro.sim import MuDDExecutor, RandomOracle, as_mudd
 
-executor = MuDDExecutor(as_mudd("merging_load_side"), backend="codegen")
+executor = MuDDExecutor(as_mudd("merging_load_side"))
 print(json.dumps(executor.run(RandomOracle(seed=4), [None] * 3000)))
 """
 
@@ -319,13 +318,15 @@ class TestNothingFromDiskRunsCode:
 
     def test_planted_codegen_source_is_never_run(self, tmp_path):
         """A generated-program file under ``REPRO_CODEGEN_CACHE`` (the
-        variable once pointed a disk tier there) is never read: the
-        codegen run matches the interpreter and runs nothing planted."""
+        variable once pointed a disk tier there), named by the key that
+        tier used, is never read: the default executor's run, which
+        takes the generated program, matches the interpreter and runs
+        nothing planted."""
         codegen_dir = tmp_path / "codegen"
         codegen_dir.mkdir()
         marker = str(tmp_path / "source-ran")
         mudd = as_mudd("merging_load_side")
-        key = CompiledMuDD(mudd).fingerprint
+        key = mudd_fingerprint(mudd, mudd.counters)
         source = (
             "open(%r, 'w').close()\n"
             "def bind(samplers, counts, errors):\n"
@@ -347,10 +348,11 @@ class TestNothingFromDiskRunsCode:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
-        reference = MuDDExecutor(mudd, backend="interpreter").run(
-            RandomOracle(seed=4), [None] * 3000
-        )
-        assert json.loads(run.stdout) == reference
+        reference = MuDDExecutor(mudd)
+        oracle = RandomOracle(seed=4)
+        for _ in range(3000):
+            reference.run_uop(oracle)
+        assert json.loads(run.stdout) == reference.snapshot()
         assert not os.path.exists(marker)
 
 

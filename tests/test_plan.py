@@ -661,6 +661,51 @@ class TestCommittedExamplePlan:
         assert "pde_refined" in result["ranking"].feasible_models
 
 
+class TestRetiredSimBackendField:
+    """Plans once carried a ``sim_backend`` execution hint on
+    ``simulate_dataset`` ops. The simulation engine is no longer an
+    option, so a saved op's field is ignored, while the inline
+    ``{"simulate": {...}}`` form rejects it as an unknown option."""
+
+    #: Written by an earlier ``Plan.to_json`` with
+    #: ``simulate_dataset(..., sim_backend="codegen")``.
+    SAVED = (
+        '{"kind": "plan", "ops": [{"after": [], "id": "data", '
+        '"model": "pde_refined", "n_observations": 2, "n_uops": 2000, '
+        '"noisy": false, "op": "simulate_dataset", "seed": 0, '
+        '"sim_backend": "codegen", "weights": null}, {"after": [], '
+        '"correlated": true, "dataset": {"ref": "data"}, "explain": true, '
+        '"id": "refute", "model": "pde_initial", "op": "sweep", '
+        '"use_regions": false}], "schema": 1}'
+    )
+
+    @staticmethod
+    def _bundle(plan):
+        with CounterPoint(backend="exact") as pipeline:
+            result = pipeline.run(plan)
+        return PlanResult(dict(result.items())).to_json(indent=2)
+
+    def test_saved_op_field_changes_nothing(self):
+        saved = json.loads(self.SAVED)
+        del saved["ops"][0]["sim_backend"]
+        without = Plan.from_json(json.dumps(saved))
+        assert self._bundle(Plan.from_json(self.SAVED)) == \
+            self._bundle(without)
+
+    def test_inline_simulate_spec_rejects_it(self):
+        plan = Plan()
+        plan.sweep("pde_initial", dataset={"simulate": {
+            "model": "pde_refined", "n_observations": 1, "n_uops": 500,
+            "sim_backend": "codegen",
+        }})
+        with CounterPoint(backend="exact") as pipeline:
+            with pytest.raises(
+                AnalysisError,
+                match="unknown simulate-dataset options sim_backend",
+            ):
+                pipeline.run(plan)
+
+
 class TestErrorCollection:
     """PlanEngine.run(collect_errors=True): structured per-op job
     errors (op id, cells, exception repr) without aborting the run —

@@ -12,6 +12,7 @@ import numpy as np
 from repro.cone import ModelCone
 from repro.cone import test_point_feasibility as point_feasibility
 from repro.cone import test_region_feasibility as region_feasibility
+from repro.geometry import Cone
 from repro.stats import ConfidenceRegion
 
 # Figure 5a's cone: paths A=(1,0), B=(1,1), C=(2,1) over
@@ -56,7 +57,7 @@ def test_fig5_model_cone(benchmark):
     # exactly {pde$_miss <= causes_walk, pde$_miss >= 0}.
     rendered = set(cone.constraints().render())
     assert "pde$_miss <= causes_walk" in rendered
-    assert len(cone.cone.irredundant_generators()) == 2
+    assert len(Cone(cone.signatures).irredundant_generators()) == 2
 
     # (b) The noisy mean appears infeasible as an exact point (ground
     # truth sits on the boundary; noise pushes the mean outside).

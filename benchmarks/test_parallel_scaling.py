@@ -119,7 +119,7 @@ def cache_dir(tmp_path):
 
 def _sweep_all(cache, dataset, counters):
     """Sweep every bundled model over ``dataset`` through ``cache``."""
-    counterpoint = CounterPoint(backend="scipy", cache=cache)
+    counterpoint = CounterPoint(backend="scipy")
     for name in bundled_model_names():
         cone = cache.get(as_mudd(name), counters=counters)
         counterpoint.sweep(cone, dataset)

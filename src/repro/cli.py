@@ -80,7 +80,7 @@ Perfetto / ``chrome://tracing``.
 import argparse
 import sys
 
-from repro.cone import ModelCone
+from repro.cone import shared_cache
 from repro.counters.errata import check_measurement_plan
 from repro.dsl import compile_dsl
 from repro.errors import ReproError
@@ -94,13 +94,9 @@ def _load_model(path):
 
 
 def _model_cone(mudd, arguments, counters=None):
-    """Build (or load) a model cone honouring ``--cache-dir``."""
-    cache_dir = getattr(arguments, "cache_dir", None)
-    if cache_dir:
-        from repro.cone.cache import get_model_cone
-
-        return get_model_cone(mudd, counters=counters, cache_dir=cache_dir)
-    return ModelCone.from_mudd(mudd, counters=counters)
+    """The model cone from the process's cone cache for ``--cache-dir``."""
+    cache_dir = getattr(arguments, "cache_dir", None) or None
+    return shared_cache(cache_dir).get(mudd, counters=counters)
 
 
 def _parse_observation(text):

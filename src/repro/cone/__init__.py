@@ -23,8 +23,6 @@ Given a µDD, this subpackage:
 from repro.cone.model_cone import ModelCone
 from repro.cone.cache import (
     ModelConeCache,
-    default_cache,
-    get_model_cone,
     mudd_fingerprint,
     shared_cache,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "ModelConstraint",
     "Violation",
     "deduce_constraints",
-    "default_cache",
-    "get_model_cone",
     "identify_violations",
     "mudd_fingerprint",
     "separating_constraint",

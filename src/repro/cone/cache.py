@@ -16,13 +16,17 @@ because :meth:`ModelCone.constraints` is itself cached per instance —
 the deduced facets. A model's constraints are therefore computed at most
 once per process regardless of how many pipeline calls touch it.
 
-:class:`CounterPoint` instances hold their own cache by default (opt out
-with ``CounterPoint(cache=False)``); the module-level
-:func:`get_model_cone` serves callers outside a pipeline instance, such
-as :func:`repro.sim.scenarios.closed_loop`.
+A process keeps one cache per cache directory, plus one memory-only
+cache, all reached through :func:`shared_cache`: every
+:class:`CounterPoint`, :func:`repro.models.build_model_cone`,
+:func:`repro.sim.scenarios.closed_loop` and the CLI share them. The
+table of caches is itself an LRU of :data:`MAX_SHARED_CACHES` entries,
+so a process that opens many directories keeps a bounded number of
+cones alive.
 """
 
 import hashlib
+import os
 import threading
 from collections import OrderedDict
 
@@ -205,46 +209,37 @@ class ModelConeCache:
         )
 
 
-_default_cache = ModelConeCache()
-_dir_caches = {}
+# How many caches shared_cache keeps (directories, and None for the
+# memory-only one). A pipeline holds its own cache while it lives, so
+# dropping one here only frees it once no pipeline uses it.
+MAX_SHARED_CACHES = 8
+_shared = OrderedDict()
+_shared_lock = threading.Lock()
 
 
-def get_model_cone(mudd, counters=None, max_paths=2000000, cache_dir=None):
-    """Fetch ``mudd``'s model cone from the process-wide default cache.
+def shared_cache(cache_dir=None):
+    """The process's :class:`ModelConeCache` for ``cache_dir``.
 
-    With ``cache_dir`` the lookup goes through a disk-backed cache over
-    that directory instead (one shared instance per directory per
-    process), so cones persist across runs and processes.
+    One instance per normalised directory path, backed by an on-disk
+    tier there; ``None`` is the memory-only cache. At most
+    :data:`MAX_SHARED_CACHES` are kept, least recently used dropped
+    first.
     """
-    if cache_dir is not None:
-        return shared_cache(cache_dir).get(
-            mudd, counters=counters, max_paths=max_paths
-        )
-    return _default_cache.get(mudd, counters=counters, max_paths=max_paths)
-
-
-def shared_cache(cache_dir):
-    """The process-wide disk-backed :class:`ModelConeCache` over
-    ``cache_dir`` (one instance per normalised directory path)."""
-    import os
-
-    key = os.path.abspath(os.fspath(cache_dir))
-    cache = _dir_caches.get(key)
-    if cache is None:
-        cache = _dir_caches[key] = ModelConeCache(disk=key)
-    return cache
-
-
-def default_cache():
-    """The process-wide :class:`ModelConeCache` behind
-    :func:`get_model_cone` (exposed for stats and explicit clearing)."""
-    return _default_cache
+    key = None if cache_dir is None else os.path.abspath(os.fspath(cache_dir))
+    with _shared_lock:
+        cache = _shared.get(key)
+        if cache is None:
+            cache = _shared[key] = ModelConeCache(disk=key)
+            if len(_shared) > MAX_SHARED_CACHES:
+                _shared.popitem(last=False)
+        else:
+            _shared.move_to_end(key)
+        return cache
 
 
 __all__ = [
+    "MAX_SHARED_CACHES",
     "ModelConeCache",
-    "default_cache",
-    "get_model_cone",
     "mudd_fingerprint",
     "shared_cache",
 ]

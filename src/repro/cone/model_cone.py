@@ -50,7 +50,6 @@ class ModelCone:
                 % (len(multiplicities), len(self.signatures))
             )
         self.multiplicities = None if multiplicities is None else list(multiplicities)
-        self.cone = Cone(self.signatures, ambient_dim=len(self.counters))
         self._constraints = None
         self._signature_array = None
         self._flow_model = None
@@ -119,7 +118,7 @@ class ModelCone:
         """Exact membership: can any non-negative flow produce this
         observation? (Point feasibility without noise handling.)"""
         vector = self.vector_from_observation(observation)
-        return self.cone.contains(vector, backend=backend)
+        return self._geometry().contains(vector, backend=backend)
 
     def constraints(self):
         """The deduced model constraints (cached)."""
@@ -204,7 +203,14 @@ class ModelCone:
         that adding a feature truly expanded the cone (Section 5)."""
         if self.counters != other.counters:
             raise AnalysisError("cones compare only over identical counter orderings")
-        return self.cone.is_subset_of(other.cone, backend=backend)
+        return self._geometry().is_subset_of(other._geometry(), backend=backend)
+
+    def _geometry(self):
+        """The signatures as a gcd-reduced, deduplicated
+        :class:`~repro.geometry.Cone`, built per call: only
+        :meth:`contains` and :meth:`is_subset_of` need one, and
+        deduction and the verdict paths work from the signatures."""
+        return Cone(self.signatures, ambient_dim=len(self.counters))
 
     def __repr__(self):
         return "ModelCone(%r, %d counters, %d signatures)" % (

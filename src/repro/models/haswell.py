@@ -32,7 +32,7 @@ Modelling notes
 
 from itertools import combinations_with_replacement
 
-from repro.cone import ModelCone
+from repro.cone import shared_cache
 from repro.counters.events import HASWELL_MMU_EVENTS
 from repro.errors import ConfigurationError
 from repro.mudd import Do, Done, Incr, Pass, Seq, Switch, compile_program
@@ -336,17 +336,11 @@ def build_haswell_mudd(features, name=None):
     return build_mudd(features, name=name)
 
 
-_CONE_CACHE = {}
-
-
 def build_model_cone(features, trigger=None, aborts=(), name=None):
-    """Build (and memoise) the :class:`ModelCone` of a Haswell µDD over
-    the full 26-counter space. A ``name`` is part of the memo key, so a
-    named call never returns a cone built earlier under another name."""
-    key = (frozenset(features), trigger, tuple(sorted(aborts)))
-    if name is not None:
-        key += (name,)
-    if key not in _CONE_CACHE:
-        mudd = build_mudd(features, trigger=trigger, aborts=aborts, name=name)
-        _CONE_CACHE[key] = ModelCone.from_mudd(mudd, counters=ALL_COUNTERS)
-    return _CONE_CACHE[key]
+    """The :class:`~repro.cone.ModelCone` of a Haswell µDD over the
+    full 26-counter space, from the process's memory-only cone cache
+    (:func:`repro.cone.cache.shared_cache`). The µDD's name is part of
+    its content key, so a named call never returns a cone built earlier
+    under another name."""
+    mudd = build_mudd(features, trigger=trigger, aborts=aborts, name=name)
+    return shared_cache().get(mudd, counters=ALL_COUNTERS)

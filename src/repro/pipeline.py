@@ -24,7 +24,7 @@ through the same engine (``run()``): overlapping ops deduplicate
 globally, dry runs price the work, and store-backed runs resume.
 """
 
-from repro.cone import ModelCone, ModelConeCache
+from repro.cone import ModelCone, shared_cache
 from repro.dsl import compile_dsl
 from repro.errors import AnalysisError
 from repro.mudd import MuDD
@@ -47,13 +47,6 @@ class CounterPoint:
         ``"scipy"`` (HiGHS; fast sweeps).
     confidence:
         Confidence level for regions built from sample matrices.
-    cache:
-        Reuse model cones across calls, keyed by µDD content
-        (:mod:`repro.cone.cache`): signature enumeration and constraint
-        deduction then run once per model per pipeline. ``False`` opts
-        out (every call rebuilds from scratch); an existing
-        :class:`~repro.cone.cache.ModelConeCache` may also be passed to
-        share one cache between pipelines.
     workers:
         Process-pool size for everything the plan engine runs — every
         analysis method, :meth:`simulate_dataset` and :meth:`run` —
@@ -71,9 +64,7 @@ class CounterPoint:
         constraints computed once per model *ever*) and the session's
         verdict store (``<cache_dir>/artifacts``), both shared between
         pipelines, processes and runs. Nothing else in the directory
-        is read, pruned or deleted. Requires the default
-        ``cache=True`` (to combine a custom cache with a disk tier,
-        pass ``cache=ModelConeCache(disk=cache_dir)`` instead).
+        is read, pruned or deleted.
     trace:
         Observability (:mod:`repro.obs`). ``True`` builds a fresh
         enabled :class:`~repro.obs.Tracer`; an existing tracer may be
@@ -90,29 +81,14 @@ class CounterPoint:
     """
 
     def __init__(self, counters=None, backend="exact", confidence=0.99,
-                 cache=True, workers=1, cache_dir=None, trace=None):
+                 workers=1, cache_dir=None, trace=None):
         self.counters = counters
         self.backend = backend
         self.confidence = confidence
         self.cache_dir = cache_dir
-        if cache_dir is not None and cache is not True:
-            # cache=False has nothing to attach a disk tier to, and an
-            # explicit cache instance would silently shadow cache_dir.
-            raise AnalysisError(
-                "cache_dir requires the default cache=True (got cache=%r); "
-                "pass ModelConeCache(disk=cache_dir) explicitly to combine "
-                "a custom cache with a disk tier" % (cache,)
-            )
-        if cache_dir is not None and cache is True:
-            from repro.cone.cache import shared_cache
-
-            self.cone_cache = shared_cache(cache_dir)
-        elif cache is True:
-            self.cone_cache = ModelConeCache()
-        elif cache is False or cache is None:
-            self.cone_cache = None
-        else:
-            self.cone_cache = cache
+        # The process's cone cache for cache_dir (memory-only without
+        # one), shared with every other pipeline on that directory.
+        self.cone_cache = shared_cache(cache_dir)
         if workers is not None and workers < 1:
             raise AnalysisError("workers must be at least 1, got %r" % (workers,))
         self.workers = workers
@@ -218,7 +194,8 @@ class CounterPoint:
         ``counters`` overrides the pipeline's counter ordering for this
         call (used by :meth:`cross_refute`, where the ordering comes
         from the simulated dataset). Cones built from µDDs or DSL text
-        are served from the content-addressed cache when enabled.
+        are served from the process's content-addressed cone cache
+        (:func:`repro.cone.cache.shared_cache`).
         """
         if counters is None:
             counters = self.counters
@@ -227,9 +204,7 @@ class CounterPoint:
         if isinstance(model, str):
             model = compile_dsl(model)
         if isinstance(model, MuDD):
-            if self.cone_cache is not None:
-                return self.cone_cache.get(model, counters=counters)
-            return ModelCone.from_mudd(model, counters=counters)
+            return self.cone_cache.get(model, counters=counters)
         raise AnalysisError("cannot interpret %r as a model" % (type(model).__name__,))
 
     # -- single-observation analysis ---------------------------------------

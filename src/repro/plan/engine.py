@@ -22,6 +22,7 @@ computable up front) how many cells the store already answers.
 
 import functools
 import time
+from collections import Counter
 from collections.abc import Mapping
 
 from repro.errors import AnalysisError, JobCancelled
@@ -314,7 +315,6 @@ class PlanEngine:
         if scheduler is None:
             scheduler = scheduler_for(self.pipeline)
         session = self.pipeline.session()
-        before = session.stats.as_dict()
 
         sim_started = time.perf_counter()
         datasets = {}
@@ -338,12 +338,13 @@ class PlanEngine:
         errors = []
         live_datasets = {}
         op_seconds = {}
-        # Analyze ops run through session.analyze, which shares the
-        # session's tests/memo/store counters with the verdict cells;
-        # track their share separately so the plan stats' cell
-        # accounting ("computed == cells on a cold cache") stays exact
-        # for plans that mix reports and sweeps.
-        report_share = {"tests": 0, "memo_hits": 0, "store_hits": 0}
+        # The session counts this run's own outcomes into these, so
+        # concurrent runs on one session never see each other's work.
+        # Analyze ops stay apart from verdict cells, so computed ==
+        # cells on a cold cache and cells_requested == computed +
+        # memo_hits + store_hits hold for every plan.
+        cells = Counter()
+        reports = Counter()
         for op_id in compiled.op_order:
             kind, payload = compiled.assembly[op_id]
             op_started = time.perf_counter()
@@ -351,7 +352,7 @@ class PlanEngine:
                 self._run_op(
                     op_id, kind, payload, compiled, datasets, bundled,
                     scheduler, session, tracer, results, live_datasets,
-                    report_share,
+                    cells, reports,
                 )
             except JobCancelled:
                 raise
@@ -364,26 +365,17 @@ class PlanEngine:
                 )
             op_seconds[op_id] = time.perf_counter() - op_started
 
-        after = session.stats.as_dict()
         counts = compiled.counts()
         stats = {
             "simulations": counts["simulations"],
             "cells": counts["cells"],
             "cells_requested": counts["cells_requested"],
             "deduplicated": counts["deduplicated"],
-            # Verdict cells only — the analyze ops' share is reported
-            # under "reports"/"report_hits" so the cell identities
-            # (computed == cells when cold, cells_requested ==
-            # computed + memo_hits + store_hits) hold for every plan.
-            "computed": (after["tests"] - before["tests"]
-                         - report_share["tests"]),
-            "memo_hits": (after["memo_hits"] - before["memo_hits"]
-                          - report_share["memo_hits"]),
-            "store_hits": (after["store_hits"] - before["store_hits"]
-                           - report_share["store_hits"]),
-            "reports": after["reports"] - before["reports"],
-            "report_hits": (report_share["memo_hits"]
-                            + report_share["store_hits"]),
+            "computed": cells["tests"],
+            "memo_hits": cells["memo_hits"],
+            "store_hits": cells["store_hits"],
+            "reports": reports["reports"],
+            "report_hits": reports["memo_hits"] + reports["store_hits"],
         }
         timing = {
             "schema": OBS_SCHEMA_VERSION,
@@ -398,8 +390,10 @@ class PlanEngine:
 
     def _run_op(self, op_id, kind, payload, compiled, datasets, bundled,
                 scheduler, session, tracer, results, live_datasets,
-                report_share):
-        """Dispatch one assembled op under its ``plan.op`` span."""
+                cells, reports):
+        """Dispatch one assembled op under its ``plan.op`` span; the
+        session counts its outcomes into the ``cells`` (sweeps) and
+        ``reports`` (analyze ops) tallies."""
         with tracer.span("plan.op", op=op_id, kind=kind):
             if kind == "dataset":
                 task = compiled.sims[payload]
@@ -412,25 +406,21 @@ class PlanEngine:
                     task.seed,
                 )))
             elif kind == "report":
-                pre = session.stats.as_dict()
                 report = session.analyze(
                     payload.model, payload.observation,
-                    explain=payload.explain,
+                    explain=payload.explain, tally=reports,
                 )
-                post = session.stats.as_dict()
-                for counter in report_share:
-                    report_share[counter] += post[counter] - pre[counter]
                 results.append((op_id, report))
             elif kind == "sweep":
                 results.append((op_id, self._run_unit(
-                    payload, datasets, bundled, scheduler, session,
+                    payload, datasets, bundled, scheduler, session, cells,
                 )))
             elif kind == "compare":
                 # A list, not a dict: CompareResult's duplicate-name
                 # guard must see every sweep.
                 results.append((op_id, CompareResult([
                     self._run_unit(
-                        unit, datasets, bundled, scheduler, session
+                        unit, datasets, bundled, scheduler, session, cells
                     )
                     for unit in payload
                 ])))
@@ -438,7 +428,8 @@ class PlanEngine:
                 results.append((op_id, RefutationMatrix({
                     observed: CompareResult({
                         candidate: self._run_unit(
-                            unit, datasets, bundled, scheduler, session
+                            unit, datasets, bundled, scheduler, session,
+                            cells,
                         )
                         for candidate, unit in row
                     })
@@ -463,7 +454,7 @@ class PlanEngine:
             cause = sim_errors[payload]
         return {"op": op_id, "kind": kind, "cells": cells, "error": cause}
 
-    def _run_unit(self, unit, datasets, bundled, scheduler, session):
+    def _run_unit(self, unit, datasets, bundled, scheduler, session, tally):
         """Execute one (model, dataset, mode) sweep unit.
 
         Simulated datasets define the cone's counter ordering (the
@@ -485,6 +476,7 @@ class PlanEngine:
             correlated=unit.correlated,
             explain=unit.explain,
             compute=functools.partial(scheduler.compute, session),
+            tally=tally,
         )
 
     def _observations(self, unit, datasets, bundled):
@@ -538,7 +530,10 @@ class PlanEngine:
                 if plan_key in probed:
                     continue
                 probed.add(plan_key)
-                if self._probe_cell(session, cone, unit, observation):
+                if session.has_verdict(
+                    cone, observation, unit.use_regions, unit.correlated,
+                    unit.explain,
+                ):
                     known_hits += 1
 
         ops = []
@@ -560,22 +555,6 @@ class PlanEngine:
             },
             cache={"known_hits": known_hits, "unknown": unknown},
         )
-
-    def _probe_cell(self, session, cone, unit, observation):
-        """Whether the memo or store already answers one cell (without
-        touching hit/miss statistics). ``observation`` is always
-        observation-shaped here — ``_observations`` has already wrapped
-        inline JSON entries."""
-        if unit.use_regions:
-            key = session._region_key(
-                cone, observation, unit.correlated, unit.explain
-            )
-        else:
-            key = session._point_key(cone, observation, unit.explain)
-        if key in session._memo:
-            return True
-        store = session.store
-        return store is not None and store.contains("verdict", key)
 
     def __repr__(self):
         return "PlanEngine(%r)" % (self.pipeline,)

@@ -30,6 +30,7 @@ process pool.
 """
 
 import os
+import threading
 
 from repro.cone import (
     identify_violations,
@@ -48,16 +49,8 @@ from repro.results.types import AnalysisReport, CellVerdict, sweep_from_verdicts
 
 
 def _registry_counter(name):
-    """An attribute-style view over a registry counter, so the historic
-    ``stats.tests += 1`` arithmetic keeps working on the facade."""
-
-    def read(self):
-        return self.registry.counter(name).value
-
-    def write(self, value):
-        self.registry.counter(name).value = value
-
-    return property(read, write)
+    """A read-only attribute view of a registry counter."""
+    return property(lambda self: self.registry.counter(name).value)
 
 
 class SessionStats:
@@ -196,6 +189,7 @@ class AnalysisSession:
         self.store = store
         self._memo = {}
         self.stats = SessionStats()
+        self._stats_lock = threading.Lock()
         # Optional in-flight dedup (repro.results.store.ClaimTable):
         # when set, sweep() claims each pending cell before computing
         # it, so concurrent jobs sharing this session (or its store)
@@ -204,7 +198,17 @@ class AnalysisSession:
         self.claims = None
 
     # -- memo plumbing -----------------------------------------------------
-    def _point_key(self, cone, observation, explain):
+    def _cell_key(self, cone, observation, use_regions, correlated, explain):
+        if use_regions:
+            return content_key(
+                "region",
+                cone.fingerprint(),
+                observation_fingerprint(observation, samples=True),
+                self.pipeline.backend,
+                repr(float(self.pipeline.confidence)),
+                bool(correlated),
+                bool(explain),
+            )
         return content_key(
             "point",
             cone.fingerprint(),
@@ -213,25 +217,24 @@ class AnalysisSession:
             bool(explain),
         )
 
-    def _region_key(self, cone, observation, correlated, explain):
-        return content_key(
-            "region",
-            cone.fingerprint(),
-            observation_fingerprint(observation, samples=True),
-            self.pipeline.backend,
-            repr(float(self.pipeline.confidence)),
-            bool(correlated),
-            bool(explain),
-        )
+    def _count(self, tally, name, amount=1, event=None):
+        """Add ``amount`` to the session counter ``name`` and, when the
+        caller passed one, to its per-run ``tally`` (a
+        :class:`collections.Counter`); mirror both into the trace."""
+        with self._stats_lock:
+            self.stats.registry.counter("session." + name).inc(amount)
+        if tally is not None:
+            tally[name] += amount
+        tracer = get_tracer()
+        if tracer.enabled:
+            if event is not None:
+                tracer.event(event)
+            tracer.metrics.counter("session." + name).inc(amount)
 
-    def _lookup(self, key):
+    def _lookup(self, key, tally=None):
         verdict = self._memo.get(key)
         if verdict is not None:
-            self.stats.memo_hits += 1
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event("session.memo_hit")
-                tracer.metrics.counter("session.memo_hits").inc()
+            self._count(tally, "memo_hits", event="session.memo_hit")
             return verdict
         if self.store is not None:
             verdict = self.store.get(
@@ -239,13 +242,21 @@ class AnalysisSession:
             )
             if verdict is not None:
                 self._memo[key] = verdict
-                self.stats.store_hits += 1
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event("session.store_hit")
-                    tracer.metrics.counter("session.store_hits").inc()
+                self._count(tally, "store_hits", event="session.store_hit")
                 return verdict
         return None
+
+    def has_verdict(self, cone, observation, use_regions=False,
+                    correlated=True, explain=False):
+        """Whether :meth:`sweep` would answer this cell without
+        computing it: from the memo, or from a store entry that
+        decodes. No statistics, recency or files change."""
+        key = self._cell_key(cone, observation, use_regions, correlated, explain)
+        if key in self._memo:
+            return True
+        return self.store is not None and self.store.contains(
+            "verdict", key, decode=CellVerdict.from_dict
+        )
 
     def _record(self, key, verdict):
         self._memo[key] = verdict
@@ -258,7 +269,7 @@ class AnalysisSession:
 
     # -- sweeps ------------------------------------------------------------
     def sweep(self, model, observations, use_regions=False, correlated=True,
-              explain=False, compute=None):
+              explain=False, compute=None, tally=None):
         """Evaluate a model against a dataset, testing only new cells.
 
         Identical contract to :meth:`repro.pipeline.CounterPoint.sweep`
@@ -276,6 +287,10 @@ class AnalysisSession:
         Lookup, recording, and statistics stay with the session either
         way, so an override can change wall-clock but never memo
         semantics.
+
+        ``tally``, a :class:`collections.Counter`, additionally receives
+        this call's own ``tests``, ``memo_hits`` and ``store_hits``,
+        which :attr:`stats` mixes with every other caller's.
         """
         pipeline = self.pipeline
         tracer = get_tracer()
@@ -291,13 +306,10 @@ class AnalysisSession:
             verdicts = [None] * len(observations)
             pending = []
             for index, observation in enumerate(observations):
-                if use_regions:
-                    key = self._region_key(
-                        cone, observation, correlated, explain
-                    )
-                else:
-                    key = self._point_key(cone, observation, explain)
-                verdict = self._lookup(key)
+                key = self._cell_key(
+                    cone, observation, use_regions, correlated, explain
+                )
+                verdict = self._lookup(key, tally)
                 if verdict is None:
                     pending.append((index, key))
                 else:
@@ -309,17 +321,17 @@ class AnalysisSession:
                 if self.claims is None:
                     self._compute_pending(
                         cone, pending, observations, verdicts,
-                        compute, use_regions, correlated, explain, tracer,
+                        compute, use_regions, correlated, explain, tally,
                     )
                 else:
                     self._compute_claimed(
                         cone, pending, observations, verdicts,
-                        compute, use_regions, correlated, explain, tracer,
+                        compute, use_regions, correlated, explain, tally,
                     )
             return sweep_from_verdicts(cone.name, names, verdicts)
 
     def _compute_pending(self, cone, pending, observations, verdicts,
-                         compute, use_regions, correlated, explain, tracer):
+                         compute, use_regions, correlated, explain, tally):
         """Solve one batch of pending ``(index, key)`` cells and record
         the verdicts (the historic unconditional path)."""
         targets = [
@@ -327,15 +339,13 @@ class AnalysisSession:
             for index, _ in pending
         ]
         computed = compute(cone, targets, use_regions, explain)
-        self.stats.tests += len(pending)
-        if tracer.enabled:
-            tracer.metrics.counter("session.tests").inc(len(pending))
+        self._count(tally, "tests", len(pending))
         for (index, key), verdict in zip(pending, computed):
             self._record(key, verdict)
             verdicts[index] = verdict
 
     def _compute_claimed(self, cone, pending, observations, verdicts,
-                         compute, use_regions, correlated, explain, tracer):
+                         compute, use_regions, correlated, explain, tally):
         """The claim-mediated pending path: compute only cells this
         caller wins, wait for (then re-read) cells another worker owns.
 
@@ -354,7 +364,7 @@ class AnalysisSession:
                 continue
             # The previous owner may have recorded this cell and released
             # its claim between our lookup and our claim: re-read first.
-            verdict = self._lookup(key)
+            verdict = self._lookup(key, tally)
             if verdict is None:
                 mine.append((index, key))
             else:
@@ -364,7 +374,7 @@ class AnalysisSession:
             if mine:
                 self._compute_pending(
                     cone, mine, observations, verdicts,
-                    compute, use_regions, correlated, explain, tracer,
+                    compute, use_regions, correlated, explain, tally,
                 )
         finally:
             for _, key in mine:
@@ -372,7 +382,7 @@ class AnalysisSession:
         orphaned = []
         for index, key in theirs:
             claims.wait(key)
-            verdict = self._lookup(key)
+            verdict = self._lookup(key, tally)
             if verdict is None:
                 orphaned.append((index, key))
             else:
@@ -380,7 +390,7 @@ class AnalysisSession:
         if orphaned:
             self._compute_pending(
                 cone, orphaned, observations, verdicts,
-                compute, use_regions, correlated, explain, tracer,
+                compute, use_regions, correlated, explain, tally,
             )
 
     def _target(self, observation, use_regions, correlated):
@@ -407,23 +417,26 @@ class AnalysisSession:
         )
 
     # -- single-observation analysis ---------------------------------------
-    def analyze(self, model, observation, explain=False):
+    def analyze(self, model, observation, explain=False, tally=None):
         """Test one observation (point or region) against one model.
 
         Returns an :class:`~repro.results.types.AnalysisReport`. Reports
         are memoized whole — including the violated-constraint list,
         whose deduction is the pipeline's most expensive step — so
         re-analyzing a known-infeasible observation is free even in a
-        fresh process sharing the store.
+        fresh process sharing the store. ``tally`` receives this call's
+        own outcome, as in :meth:`sweep`.
         """
         pipeline = self.pipeline
         tracer = get_tracer()
         with tracer.span("session.analyze", model=getattr(
             model, "name", str(model)
         )) as span:
-            return self._analyze(pipeline, model, observation, explain, span)
+            return self._analyze(
+                pipeline, model, observation, explain, span, tally
+            )
 
-    def _analyze(self, pipeline, model, observation, explain, span):
+    def _analyze(self, pipeline, model, observation, explain, span, tally):
         cone = pipeline.model_cone(model)
         is_region = hasattr(observation, "box_constraints")
         key = content_key(
@@ -433,7 +446,6 @@ class AnalysisSession:
             pipeline.backend,
             bool(explain),
         )
-        tracer = get_tracer()
         cached = self._memo.get(key)
         if cached is None and self.store is not None:
             cached = self.store.get(
@@ -441,13 +453,9 @@ class AnalysisSession:
             )
             if cached is not None:
                 self._memo[key] = cached
-                self.stats.store_hits += 1
-                if tracer.enabled:
-                    tracer.metrics.counter("session.store_hits").inc()
+                self._count(tally, "store_hits")
         elif cached is not None:
-            self.stats.memo_hits += 1
-            if tracer.enabled:
-                tracer.metrics.counter("session.memo_hits").inc()
+            self._count(tally, "memo_hits")
         if cached is not None:
             # Content keys ignore model names; hand back a relabeled
             # *copy* — mutating the memo entry would corrupt reports
@@ -488,11 +496,8 @@ class AnalysisSession:
             witness=result.witness,
             certificate=certificate,
         )
-        self.stats.tests += 1
-        self.stats.reports += 1
-        if tracer.enabled:
-            tracer.metrics.counter("session.tests").inc()
-            tracer.metrics.counter("session.reports").inc()
+        self._count(tally, "tests")
+        self._count(tally, "reports")
         self._memo[key] = report
         if self.store is not None:
             self.store.put("report", key, report.to_dict())

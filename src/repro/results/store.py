@@ -132,8 +132,7 @@ class ArtifactStore:
         """
         path = self._path(kind, key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
+            payload = self._read(path, kind, key, decode)
         except FileNotFoundError:
             self._miss(kind)
             return None
@@ -141,24 +140,6 @@ class ArtifactStore:
             self._discard(path)
             self._miss(kind)
             return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("version") != self.version
-            or envelope.get("kind") != kind
-            or envelope.get("key") != key
-            or "payload" not in envelope
-        ):
-            self._discard(path)
-            self._miss(kind)
-            return None
-        payload = envelope["payload"]
-        if decode is not None:
-            try:
-                payload = decode(payload)
-            except Exception:
-                self._discard(path)
-                self._miss(kind)
-                return None
         self._touch(path)
         with self._lock:
             self.hits += 1
@@ -172,6 +153,23 @@ class ArtifactStore:
             tracer.metrics.counter("cache.%s.hits" % kind).inc()
             tracer.metrics.counter("cache.%s.bytes_read" % kind).inc(size)
         return payload
+
+    def _read(self, path, kind, key, decode):
+        """The (decoded) payload of the entry at ``path``. Raises
+        ``FileNotFoundError`` when there is none, and any other
+        exception when its bytes, envelope or payload are unusable."""
+        with open(path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        if (
+            not isinstance(envelope, dict)
+            or envelope.get("version") != self.version
+            or envelope.get("kind") != kind
+            or envelope.get("key") != key
+            or "payload" not in envelope
+        ):
+            raise ValueError("foreign artifact envelope")
+        payload = envelope["payload"]
+        return payload if decode is None else decode(payload)
 
     def _miss(self, kind):
         with self._lock:
@@ -238,8 +236,14 @@ class ArtifactStore:
         if over_cap:
             self.prune()
 
-    def contains(self, kind, key):
-        return os.path.exists(self._path(kind, key))
+    def contains(self, kind, key, decode=None):
+        """Whether :meth:`get` with the same arguments would return a
+        payload. Nothing is counted, refreshed or dropped."""
+        try:
+            self._read(self._path(kind, key), kind, key, decode)
+        except Exception:
+            return False
+        return True
 
     # -- in-flight claims --------------------------------------------------
     def _claim_path(self, kind, key):

@@ -157,8 +157,8 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
     one report would hide another; duplicates raise
     :class:`~repro.errors.AnalysisError` before anything is simulated.
 
-    Candidate cones come from the process-wide content-addressed cache
-    (:func:`repro.cone.cache.get_model_cone`) — with ``cache_dir`` from
+    Candidate cones come from the process's content-addressed cone cache
+    (:func:`repro.cone.cache.shared_cache`) — with ``cache_dir`` from
     its persistent on-disk tier, so repeated closed-loop runs skip
     µpath enumeration (and constraint deduction, once a candidate has
     ever been refuted) even across processes and CI runs. Each
@@ -166,7 +166,7 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
     :meth:`repro.pipeline.CounterPoint.analyze`. ``backend`` is the LP
     backend.
     """
-    from repro.cone.cache import get_model_cone
+    from repro.cone.cache import shared_cache
     from repro.pipeline import CounterPoint
 
     candidates = [as_mudd(candidate) for candidate in candidate_models]
@@ -186,9 +186,10 @@ def closed_loop(observed_model, candidate_models, n_uops=20000, weights=None,
         if use_regions
         else observation.point()
     )
+    cones = shared_cache(cache_dir)
     reports = {}
     for candidate in candidates:
-        cone = get_model_cone(candidate, counters=counters, cache_dir=cache_dir)
+        cone = cones.get(candidate, counters=counters)
         report = counterpoint.analyze(cone, target)
         reports[report.model_name] = report
     return reports

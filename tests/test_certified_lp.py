@@ -515,7 +515,7 @@ def test_one_lazy_model_per_batch_never_stored(monkeypatch):
     point_feasibility(cone, [1, 1, 2, 0])
     assert len(built) == 2
     assert cone._flow_model is None and not cone._flow_model_built
-    assert not cone.cone._scipy_model_built
+    assert not any(isinstance(value, Cone) for value in vars(cone).values())
 
 
 def test_subset_builds_one_model_for_other(monkeypatch):

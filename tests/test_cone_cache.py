@@ -2,15 +2,19 @@
 
 Covers the canonical µDD fingerprint (id-allocation invariance), the
 pinned :meth:`ModelCone.fingerprint` of paper models, the LRU behaviour
-of :class:`ModelConeCache`, the :class:`CounterPoint`
-cache knob, signature multiplicity bookkeeping, and the batched
-feasibility entry point on simulated traces.
+of :class:`ModelConeCache`, the process's bounded table of shared
+caches and the :class:`CounterPoint` wiring to it, signature
+multiplicity bookkeeping, and the batched feasibility entry point on
+simulated traces.
 """
+
+import gc
+import weakref
 
 import pytest
 
-from repro.cone import ModelCone, ModelConeCache, get_model_cone, mudd_fingerprint
-from repro.cone.cache import default_cache
+from repro.cone import ModelCone, ModelConeCache, mudd_fingerprint, shared_cache
+from repro.cone.cache import MAX_SHARED_CACHES
 from repro.errors import AnalysisError
 from repro.models import (
     A_SERIES,
@@ -185,11 +189,24 @@ class TestModelConeCache:
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
     def test_default_cache_shared(self):
-        default_cache().clear()
-        cone_a = get_model_cone(build_pde())
-        cone_b = get_model_cone(build_pde())
-        assert cone_a is cone_b
-        default_cache().clear()
+        # Without a directory, shared_cache() is the process's one
+        # memory-only cache.
+        assert shared_cache() is shared_cache(None)
+        assert shared_cache().disk is None
+        assert shared_cache().get(build_pde()) is shared_cache().get(build_pde())
+
+    def test_shared_caches_are_bounded(self, tmp_path):
+        # Opening more directories than the bound keeps at most the
+        # bound alive; the most recently opened are the ones kept.
+        opened = [
+            weakref.ref(shared_cache(tmp_path / str(index)))
+            for index in range(MAX_SHARED_CACHES + 3)
+        ]
+        gc.collect()
+        alive = [ref() for ref in opened if ref() is not None]
+        assert len(alive) <= MAX_SHARED_CACHES
+        assert opened[-1]() is shared_cache(tmp_path / str(MAX_SHARED_CACHES + 2))
+        assert opened[0]() is None
 
     def test_invalid_maxsize(self):
         with pytest.raises(AnalysisError):
@@ -208,16 +225,12 @@ class TestCounterPointCaching:
         assert not report.feasible and report.violations
         assert cp.model_cone(build_pde()).has_deduced_constraints()
 
-    def test_cache_opt_out(self):
-        cp = CounterPoint(cache=False)
-        assert cp.cone_cache is None
-        assert cp.model_cone(build_pde()) is not cp.model_cone(build_pde())
-
     def test_shared_cache_instance(self):
-        shared = ModelConeCache()
-        cp_a = CounterPoint(cache=shared)
-        cp_b = CounterPoint(cache=shared)
-        assert cp_a.model_cone(build_pde()) is cp_b.model_cone(build_pde())
+        # Pipelines without a cache_dir share the memory-only cache.
+        assert CounterPoint().cone_cache is shared_cache()
+        assert CounterPoint().model_cone(build_pde()) is CounterPoint().model_cone(
+            build_pde()
+        )
 
     def test_model_cone_counters_override(self):
         cp = CounterPoint()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cone import shared_cache
 from repro.cone import test_point_feasibility as point_feasibility
 from repro.errors import ConfigurationError
 from repro.models import (
@@ -141,6 +142,9 @@ class TestModelBuilders:
         first = build_model_cone(M_SERIES["m0"])
         second = build_model_cone(M_SERIES["m0"])
         assert first is second
+        # It comes from the memory-only cone cache pipelines share.
+        mudd = build_haswell_mudd(M_SERIES["m0"])
+        assert first is shared_cache().get(mudd, counters=ALL_COUNTERS)
 
     def test_named_cone_after_unnamed_keeps_its_name(self):
         unnamed = build_model_cone(M_SERIES["m3"])

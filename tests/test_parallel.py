@@ -211,18 +211,6 @@ class TestFacadeWiring:
         assert counterpoint._parallel()
         assert counterpoint.runner().workers >= 1
 
-    def test_cache_dir_requires_caching(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            CounterPoint(cache=False, cache_dir=str(tmp_path))
-
-    def test_cache_dir_rejects_explicit_cache_instance(self, tmp_path):
-        # An explicit memory cache would silently shadow cache_dir; the
-        # combination must be refused, not half-honoured.
-        from repro.cone.cache import ModelConeCache
-
-        with pytest.raises(AnalysisError):
-            CounterPoint(cache=ModelConeCache(), cache_dir=str(tmp_path))
-
     def test_cache_dir_uses_shared_disk_cache(self, tmp_path):
         from repro.cone.cache import shared_cache
 

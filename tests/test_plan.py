@@ -19,6 +19,7 @@ The headline contracts, asserted with real call counters:
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -340,6 +341,41 @@ class TestExecution:
         assert matrix_cell.to_dict() == refute.to_dict()
         assert result["matrix"].diagonal_feasible()
 
+    def test_overlapping_runs_count_only_their_own_cells(self):
+        # Two runs share one session, and both compute before either
+        # returns: each run's stats still hold only its own cells.
+        barrier = threading.Barrier(2, timeout=60)
+
+        class Gated(SerialScheduler):
+            def compute(self, session, cone, targets, use_regions, explain):
+                verdicts = SerialScheduler.compute(
+                    self, session, cone, targets, use_regions, explain
+                )
+                barrier.wait()
+                return verdicts
+
+        plans = {"three": Plan(), "five": Plan()}
+        plans["three"].sweep(tiny_cone(), dataset(3), op_id="sweep")
+        plans["five"].sweep(tiny_cone(), dataset(5, offset=3), op_id="sweep")
+        results = {}
+        with CounterPoint(backend="exact") as pipeline:
+            pipeline.session()  # built once, before the runs share it
+
+            def run(name):
+                results[name] = pipeline.run(plans[name], scheduler=Gated())
+
+            threads = [threading.Thread(target=run, args=(name,)) for name in plans]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert pipeline.session().stats.tests == 8
+        assert results["three"].stats["computed"] == 3
+        assert results["five"].stats["computed"] == 5
+        for result in results.values():
+            assert result.stats["memo_hits"] == result.stats["store_hits"] == 0
+
     def test_simulated_datasets_surface_in_memory(self):
         with CounterPoint(backend="scipy") as pipeline:
             result = pipeline.run(overlap_plan())
@@ -472,6 +508,40 @@ class TestDryRun:
             report = cold.plan_engine().dry_run(plan)
         assert report.cache["known_hits"] == 5
         assert report.cache["unknown"] == 0
+
+    @pytest.mark.parametrize("damage", ["undecodable", "stale_version"])
+    def test_dry_run_counts_only_readable_verdicts(self, tmp_path, damage):
+        # A stored verdict the run would discard is no known hit, and
+        # probing it counts, refreshes and drops nothing.
+        cache_dir = str(tmp_path / "cache")
+        plan = Plan()
+        plan.sweep(tiny_cone(), dataset(4), op_id="sweep")
+        with CounterPoint(backend="exact", cache_dir=cache_dir) as warm:
+            warm.run(plan)
+        root = os.path.join(cache_dir, "artifacts")
+        entries = sorted(
+            os.path.join(root, name) for name in os.listdir(root)
+            if name.startswith("verdict-")
+        )
+        assert len(entries) == 4
+        for path in entries:
+            with open(path, "r", encoding="utf-8") as handle:
+                envelope = json.load(handle)
+            if damage == "undecodable":
+                envelope["payload"] = {"counters": []}
+            else:
+                envelope["version"] -= 1
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(envelope, handle)
+        stamps = [os.stat(path).st_mtime_ns for path in entries]
+        with CounterPoint(backend="exact", cache_dir=cache_dir) as cold:
+            report = cold.plan_engine().dry_run(plan)
+            store = cold.session().store
+            assert (store.hits, store.misses) == (0, 0)
+            assert [os.stat(path).st_mtime_ns for path in entries] == stamps
+            result = cold.run(plan)
+        assert report.cache == {"known_hits": 0, "unknown": 0}
+        assert result.stats["computed"] == 4
 
     def test_dry_run_report_round_trips(self):
         with CounterPoint(backend="scipy") as pipeline:

@@ -297,8 +297,10 @@ class TestPlanService:
         with PlanService(workers=2, max_queue=8, backend="scipy") as svc:
             alice = svc.submit(overlap_plan(), tenant="alice")
             bob = svc.submit(overlap_plan(), tenant="bob")
-            _wait_terminal(svc, alice["id"])
-            _wait_terminal(svc, bob["id"])
+            jobs = [
+                _wait_terminal(svc, alice["id"])["stats"],
+                _wait_terminal(svc, bob["id"])["stats"],
+            ]
             text_alice = svc.result_text(alice["id"])
             text_bob = svc.result_text(bob["id"])
             stats = svc.stats()
@@ -308,6 +310,12 @@ class TestPlanService:
         # feasibility calls equal the deduplicated cell count, however
         # the two jobs' threads interleaved.
         assert counter.total == 8
+        # Each job reports only its own cells, however they overlapped.
+        assert sum(job["computed"] for job in jobs) == 8
+        for job in jobs:
+            assert job["cells_requested"] == (
+                job["computed"] + job["memo_hits"] + job["store_hits"]
+            )
         assert set(stats["tenants"]) == {"alice", "bob"}
         for tenant in ("alice", "bob"):
             assert 0.0 <= stats["tenants"][tenant]["dedup_hit_rate"] <= 1.0

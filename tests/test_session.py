@@ -348,6 +348,40 @@ class TestSessionSurface:
         assert counterpoint._runner is None
 
 
+class TestConcurrentCounting:
+    def test_threads_sharing_a_session_lose_no_count(self):
+        """Each thread's tally holds only its own memo hits, and the
+        session's total holds all of them, under heavy preemption."""
+        import sys
+        import threading
+        from collections import Counter
+
+        session = AnalysisSession(backend="exact")
+        cone = tiny_cone()
+        observations = dataset(50)
+        session.sweep(cone, observations)
+        tallies = [Counter() for _ in range(8)]
+
+        def resweep(tally):
+            for _ in range(20):
+                session.sweep(cone, observations, tally=tally)
+
+        threads = [threading.Thread(target=resweep, args=(tally,)) for tally in tallies]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(tally == Counter(memo_hits=1000) for tally in tallies)
+        assert session.stats.memo_hits == 8 * 1000
+        assert session.stats.tests == 50
+
+
 class TestClaimedSession:
     """A session with a ClaimTable dedupes concurrent identical work."""
 

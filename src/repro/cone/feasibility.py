@@ -192,6 +192,20 @@ def _point_result(model_cone, vector, backend, batch=None):
     return FeasibilityResult(True, flows=flows, witness=list(vector))
 
 
+def region_boxes(region, n):
+    """A region's ``(direction, lower, upper)`` boxes, checked: at least
+    one, and every direction ``n`` long (one component per counter)."""
+    boxes = list(region.box_constraints())
+    if not boxes:
+        raise AnalysisError("region provided no box constraints")
+    for direction, _, _ in boxes:
+        if len(direction) != n:
+            raise AnalysisError(
+                "region direction has %d components for %d counters" % (len(direction), n)
+            )
+    return boxes
+
+
 def test_region_feasibility(model_cone, region, backend="exact"):
     """Does a counter confidence region intersect the model cone?
 
@@ -201,19 +215,12 @@ def test_region_feasibility(model_cone, region, backend="exact"):
     :class:`repro.stats.ConfidenceRegion`). The region's dimension must
     match the model cone's counter count.
     """
-    boxes = list(region.box_constraints())
-    if not boxes:
-        raise AnalysisError("region provided no box constraints")
+    n = len(model_cone.counters)
+    boxes = region_boxes(region, n)
     with get_tracer().span("cell.verdict", mode="region") as span:
         lp, flow_names, counter_names = _flow_lp(model_cone)
-        n = len(model_cone.counters)
         for direction, lower, upper in boxes:
             direction = as_fraction_vector(direction)
-            if len(direction) != n:
-                raise AnalysisError(
-                    "region direction has %d components for %d counters"
-                    % (len(direction), n)
-                )
             coefficients = {
                 counter_names[coord]: direction[coord]
                 for coord in range(n)

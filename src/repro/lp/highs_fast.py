@@ -1,4 +1,4 @@
-"""Persistent HiGHS feasibility models (the float LP fast path).
+"""Persistent HiGHS models (the float LP fast path).
 
 ``scipy.optimize.linprog`` pays ~1.5 ms of Python wrapper overhead per
 call — an order of magnitude more than HiGHS spends actually solving
@@ -8,7 +8,9 @@ interior removal). Those loops solve the *same* constraint matrix over
 and over with only the right-hand side (and occasionally a column
 bound) changing, which is exactly what the underlying HiGHS incremental
 API is for: build the model once, mutate bounds, re-run from the warm
-basis.
+basis. A region's support LPs (:class:`SupportModel`) share their rows
+too and change only the objective; they re-run cold, so each answer is
+the one ``linprog`` gives.
 
 This module talks to the HiGHS bindings that ship *inside* scipy
 (``scipy.optimize._highspy``) — a private interface, so everything here
@@ -51,6 +53,30 @@ def highs_available():
     return _HIGHS_OK
 
 
+def _load(matrix, row_lower, row_upper, options=()):
+    """A HiGHS handle, output off and ``options`` set, holding
+    ``row_lower <= matrix x <= row_upper`` with ``x >= 0`` and zero
+    costs."""
+    solver = _core._Highs()
+    for option, value in (("output_flag", False),) + tuple(options):
+        solver.setOptionValue(option, value)
+    lp = _core.HighsLp()
+    lp.num_row_, lp.num_col_ = matrix.shape
+    lp.col_cost_ = np.zeros(lp.num_col_)
+    lp.col_lower_ = np.zeros(lp.num_col_)
+    lp.col_upper_ = np.full(lp.num_col_, solver.getInfinity())
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    sparse = _csc_matrix(matrix)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = sparse.indptr.astype(np.int64)
+    lp.a_matrix_.index_ = sparse.indices.astype(np.int64)
+    lp.a_matrix_.value_ = sparse.data.astype(float)
+    if solver.passModel(lp) == _core.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the model")
+    return solver
+
+
 class FeasibilityModel:
     """A persistent HiGHS model for ``A x = b, x >= 0`` feasibility.
 
@@ -75,26 +101,8 @@ class FeasibilityModel:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.lock = threading.RLock()
-        self._solver = _core._Highs()
-        self._solver.setOptionValue("output_flag", False)
+        self._solver = _load(matrix, np.zeros(n_rows), np.zeros(n_rows))
         self._infinity = self._solver.getInfinity()
-        lp = _core.HighsLp()
-        lp.num_col_ = n_cols
-        lp.num_row_ = n_rows
-        lp.col_cost_ = np.zeros(n_cols)
-        lp.col_lower_ = np.zeros(n_cols)
-        lp.col_upper_ = np.full(n_cols, self._infinity)
-        zeros = np.zeros(n_rows)
-        lp.row_lower_ = zeros
-        lp.row_upper_ = zeros.copy()
-        sparse = _csc_matrix(matrix)
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = sparse.indptr.astype(np.int64)
-        lp.a_matrix_.index_ = sparse.indices.astype(np.int64)
-        lp.a_matrix_.value_ = sparse.data.astype(float)
-        status = self._solver.passModel(lp)
-        if status == _core.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the feasibility model")
 
     def exclude_column(self, index):
         """Pin variable ``index`` to zero (remove its generator)."""
@@ -167,12 +175,91 @@ def make_feasibility_model(matrix):
         return None
 
 
+#: ``linprog``'s residual tolerance: ``sqrt(tol) * 10`` for its ``tol`` of 1e-9.
+RESIDUAL_TOLERANCE = np.sqrt(1e-9) * 10
+
+
+class SupportModel:
+    """Optimise ``c . v`` over a region box, ``lower <= e . v <= upper``
+    per box ``(e, lower, upper)``, with ``v >= 0``: the rows and options
+    (presolve on, dual simplex) :func:`repro.lp.scipy_backend.solve_scipy`
+    gives ``linprog``. :meth:`solve` changes only the costs and clears the
+    solver first, so each solve starts cold, as ``linprog`` does, and
+    returns its answer bit for bit; a warm start moves optima within
+    HiGHS's tolerance. One caller, one thread: see :func:`make_support_model`.
+    """
+
+    def __init__(self, boxes, n_cols):
+        rows, rhs = [], []
+        for direction, lower, upper in boxes:
+            row = [float(value) for value in direction]
+            if any(row):
+                # ``+ 0.0`` turns -0.0 into 0.0, as Fraction(-0.0) does.
+                rows += [[-value for value in row], row]
+                rhs += [-(float(lower) + 0.0), float(upper) + 0.0]
+        matrix = np.array(rows, dtype=float).reshape(len(rows), n_cols)
+        self._rhs = np.array(rhs)
+        if not (np.isfinite(matrix).all() and np.isfinite(self._rhs).all()):
+            raise ValueError("region box is not finite")
+        self.n_rows = len(rows)
+        self.n_cols = n_cols
+        self._columns = np.arange(n_cols, dtype=np.int32)
+        self._solver = _load(
+            matrix, np.full(self.n_rows, -np.inf), self._rhs.copy(),
+            options=(("presolve", "on"), ("simplex_strategy", 1)),
+        )
+
+    def solve(self, normal, maximize):
+        """``(status, value)`` for max (``maximize``) or min of ``normal . v``:
+        the optimum when :data:`OPTIMAL`, else ``None``. :data:`ERROR` is any
+        other status, or a solution ``linprog`` would reject (a NaN, or a
+        residual beyond :data:`RESIDUAL_TOLERANCE`)."""
+        sign = -1.0 if maximize else 1.0
+        cost = np.zeros(self.n_cols)
+        for index, value in enumerate(normal):
+            if value:
+                cost[index] = sign * float(value)
+        solver = self._solver
+        solver.changeColsCost(self.n_cols, self._columns, cost)
+        solver.clearSolver()
+        solver.run()
+        status = solver.getModelStatus()
+        if status == _core.HighsModelStatus.kInfeasible:
+            return INFEASIBLE, None
+        if status == _core.HighsModelStatus.kUnbounded:
+            return UNBOUNDED, None
+        if status != _core.HighsModelStatus.kOptimal:
+            return ERROR, None
+        solution = solver.getSolution()
+        value = solver.getInfo().objective_function_value
+        x = np.array(solution.col_value)
+        slack = self._rhs - np.array(solution.row_value)
+        if np.isnan(value) or np.isnan(x).any() or np.isnan(slack).any() \
+                or (x < -RESIDUAL_TOLERANCE).any() or (slack < -RESIDUAL_TOLERANCE).any():
+            return ERROR, None
+        return OPTIMAL, sign * value
+
+
+def make_support_model(boxes, n_cols):
+    """A :class:`SupportModel` over ``boxes`` (``(direction, lower,
+    upper)`` triples, each direction ``n_cols`` long), or ``None`` when
+    the HiGHS bindings are unavailable or a box value is not finite."""
+    if not _HIGHS_OK:
+        return None
+    try:
+        return SupportModel(boxes, n_cols)
+    except Exception:  # a non-finite box, or binding-surface drift
+        return None
+
+
 __all__ = [
     "ERROR",
     "FeasibilityModel",
     "INFEASIBLE",
     "OPTIMAL",
+    "SupportModel",
     "UNBOUNDED",
     "highs_available",
     "make_feasibility_model",
+    "make_support_model",
 ]

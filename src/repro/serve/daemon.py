@@ -339,11 +339,11 @@ class PlanService:
             self.metrics.counter("serve.jobs.completed").inc()
 
     def _account(self, job):
-        """Per-tenant dedup accounting from the run's session stats."""
+        """Per-tenant dedup accounting from the run's session stats. A
+        compile-time duplicate is also a memo hit, so it is not added."""
         stats = job.stats or {}
         computed = stats.get("computed", 0)
-        deduped = (stats.get("memo_hits", 0) + stats.get("store_hits", 0)
-                   + stats.get("deduplicated", 0))
+        deduped = stats.get("memo_hits", 0) + stats.get("store_hits", 0)
         prefix = "serve.tenant.%s" % job.tenant
         self.metrics.counter("%s.cells_computed" % prefix).inc(computed)
         self.metrics.counter("%s.cells_deduped" % prefix).inc(deduped)

@@ -307,6 +307,24 @@ class TestViolations:
             if violation.definite:
                 assert violation.margin < 0
 
+    @pytest.mark.parametrize("backend", ["exact", "scipy"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_region_direction_of_wrong_length(self, initial_cone, backend, width):
+        # Unchecked, a longer direction is silently truncated (a verdict
+        # on a different region) and a shorter one raises IndexError.
+        class SkewedRegion:
+            def center(self):
+                return [4.0, 10.0]
+
+            def box_constraints(self):
+                yield [1.0] + [0.0] * (width - 1), 3.9, 4.1
+
+        with pytest.raises(
+            AnalysisError,
+            match="region direction has %d components for 2 counters" % width,
+        ):
+            identify_violations(initial_cone, SkewedRegion(), backend=backend)
+
     def test_render_mentions_tag(self, initial_cone):
         violations = identify_violations(
             initial_cone, {"load.causes_walk": 4, "load.pde$_miss": 10}

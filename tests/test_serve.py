@@ -282,6 +282,18 @@ class TestPlanService:
         assert status["started"] is not None
         assert status["finished"] >= status["started"]
 
+    def test_tenant_stats_count_each_requested_cell_once(self, service):
+        # Compile-time duplicates are run-time memo hits, so a job's
+        # requested cells split exactly into computed + deduped.
+        submitted = service.submit(overlap_plan(), tenant="alice")
+        stats = _wait_terminal(service, submitted["id"])["stats"]
+        tenant = service.stats()["tenants"]["alice"]
+        assert tenant["cells_computed"] == stats["computed"] == 8
+        assert tenant["cells_deduped"] == 6
+        assert tenant["cells_computed"] + tenant["cells_deduped"] == \
+            stats["cells_requested"] == 14
+        assert tenant["dedup_hit_rate"] == 6 / 14
+
     def test_resubmit_computes_zero_and_is_byte_identical(self, service):
         first = service.submit(overlap_plan(), tenant="alice")
         _wait_terminal(service, first["id"])

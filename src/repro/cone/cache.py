@@ -5,9 +5,9 @@ enumerating every µpath, and asking it for constraints means running the
 exponential Section 6 deduction — yet `analyze`/`sweep`/`compare`/
 `cross_refute` and the simulation scenarios routinely revisit the same
 model many times. This module provides an LRU cache keyed by a
-*canonical fingerprint* of the µDD (node structure and labels, decision
-branch values, and the counter ordering — node ids are relabelled by a
-deterministic traversal, so structurally identical µDDs hit the same
+*canonical fingerprint* of the µDD (its name, node structure and
+labels, decision branch values, and the counter ordering — node ids are
+relabelled by a deterministic traversal, so identical µDDs hit the same
 entry regardless of how their ids were allocated).
 
 Caching the :class:`ModelCone` object transitively caches everything it
@@ -36,22 +36,34 @@ from repro.mudd import DECISION, MuDD
 
 
 def mudd_fingerprint(mudd, counters=None):
-    """Canonical content hash of a µDD (plus counter ordering).
+    """Canonical content hash of a µDD: its name, structure, labels,
+    branch values and counter ordering.
 
     Node ids are replaced by visit order of a deterministic DFS that
-    sorts branches by their value labels, so the fingerprint depends
-    only on structure, labels, and branch values — not on id allocation
-    or insertion order. Two µDDs with equal fingerprints generate the
-    same µpath signatures over the same counter ordering.
+    sorts branches by their value labels, so the fingerprint does not
+    depend on id allocation or insertion order. Two µDDs with equal
+    fingerprints generate the same µpath signatures over the same
+    counter ordering. The name is part of the hash: a bundled model and
+    its DSL source compiled under the default name ``"model"``
+    fingerprint differently.
 
     When ``counters`` is ``None`` the µDD's own counter ordering is
     folded into the key: ``mudd.counters`` depends on node-id
     allocation, so two structurally identical µDDs can disagree on it —
     they must then not share a cache entry, or observations aligned to
     one ordering would be read against the other.
+
+    Memoized per µDD instance (and its unchanged copies) by mutation
+    count, name and counter ordering.
     """
     if not isinstance(mudd, MuDD):
         raise AnalysisError("mudd_fingerprint expects a MuDD")
+    key = ("fingerprint", None if counters is None else tuple(counters))
+    return mudd._memoized(key, lambda: _fingerprint_walk(mudd, counters))
+
+
+def _fingerprint_walk(mudd, counters):
+    """:func:`mudd_fingerprint` computed from scratch."""
     if counters is None:
         counters = mudd.counters
     start = mudd.start_node()

@@ -13,6 +13,8 @@ the paper's examples)::
     block    := "{" statement* "}"
 """
 
+import threading
+
 from repro.errors import DSLSyntaxError
 from repro.dsl.lexer import tokenize
 from repro.mudd.program import Do, Done, Incr, Pass, Seq, Switch, compile_program
@@ -156,6 +158,22 @@ def parse_program(source):
     return _Parser(tokenize(source)).parse_program()
 
 
+#: Compiled µDDs by (source, name): each source is parsed once per
+#: process. Bounded FIFO; callers get copies, never these templates.
+_COMPILED = {}
+_COMPILED_CAP = 128
+_COMPILED_LOCK = threading.Lock()
+
+
 def compile_dsl(source, name="model"):
-    """Parse and compile DSL source into a validated µDD."""
-    return compile_program(parse_program(source), name=name)
+    """Parse and compile DSL source into a validated µDD: a fresh
+    :meth:`~repro.mudd.MuDD.copy` of the one memoized for ``(source,
+    name)``, so changing it never changes what a later call returns."""
+    template = _COMPILED.get((source, name))
+    if template is None:
+        template = compile_program(parse_program(source), name=name)
+        with _COMPILED_LOCK:
+            if len(_COMPILED) >= _COMPILED_CAP:
+                del _COMPILED[next(iter(_COMPILED))]
+            _COMPILED[(source, name)] = template
+    return template.copy()

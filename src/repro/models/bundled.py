@@ -29,17 +29,18 @@ def bundled_model_names():
 
 
 def bundled_model_source(name):
-    """The DSL source text of a bundled model."""
-    path = os.path.join(_DSL_DIR, name + ".dsl")
-    if not os.path.exists(path):
+    """The DSL source text of a bundled model. Only the names
+    :func:`bundled_model_names` lists are accepted, never a path."""
+    names = bundled_model_names()
+    if name not in names:
         raise ConfigurationError(
-            "no bundled model %r (available: %s)"
-            % (name, ", ".join(bundled_model_names()))
+            "no bundled model %r (available: %s)" % (name, ", ".join(names))
         )
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(os.path.join(_DSL_DIR, name + ".dsl"), "r", encoding="utf-8") as handle:
         return handle.read()
 
 
 def load_bundled_model(name):
-    """Compile a bundled model into a validated µDD."""
+    """Compile a bundled model into a validated µDD (parsed once per
+    process; see :func:`repro.dsl.compile_dsl`)."""
     return compile_dsl(bundled_model_source(name), name=name)

@@ -21,6 +21,10 @@ Structural rules enforced by :meth:`MuDD.validate`:
 * every decision's outgoing edges carry distinct value labels,
 * the causality graph is acyclic and every node is reachable from START,
 * every maximal causality walk ends at an END node.
+
+A µDD changes only through its ``add_*`` methods (nodes and edges are
+immutable); each call bumps the mutation counter that keys its identity
+memo (``counters``, :func:`repro.cone.cache.mudd_fingerprint`).
 """
 
 from repro.errors import MuDDError
@@ -34,8 +38,26 @@ DECISION = "decision"
 _KINDS = (START, END, EVENT, COUNTER, DECISION)
 
 
-class Node:
-    """A µDD node.
+class _Frozen:
+    """Slots set once, by ``__init__``; assigning later raises, so a
+    µDD's mutation counter sees every change of content."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise MuDDError(
+            "%s is immutable; change a µDD through its add_* methods"
+            % type(self).__name__
+        )
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, slot) for slot in self.__slots__))
+
+
+class Node(_Frozen):
+    """A µDD node (immutable).
 
     ``label`` is the event name for EVENT nodes, the counter name for
     COUNTER nodes and the property name for DECISION nodes.
@@ -48,26 +70,31 @@ class Node:
             raise MuDDError("unknown node kind %r" % (kind,))
         if kind in (EVENT, COUNTER, DECISION) and not label:
             raise MuDDError("%s nodes require a label" % kind)
-        self.node_id = node_id
-        self.kind = kind
-        self.label = label
+        _NODE_ID(self, node_id)
+        _NODE_KIND(self, kind)
+        _NODE_LABEL(self, label)
 
     def __repr__(self):
         return "Node(%r, %s, label=%r)" % (self.node_id, self.kind, self.label)
 
 
-class Edge:
-    """A causality edge, optionally labelled with a decision value."""
+class Edge(_Frozen):
+    """An immutable causality edge, optionally labelled with a decision value."""
 
     __slots__ = ("source", "target", "value")
 
     def __init__(self, source, target, value=None):
-        self.source = source
-        self.target = target
-        self.value = value
+        _EDGE_SOURCE(self, source)
+        _EDGE_TARGET(self, target)
+        _EDGE_VALUE(self, value)
 
     def __repr__(self):
         return "Edge(%r -> %r, value=%r)" % (self.source, self.target, self.value)
+
+
+# Slot setters that bypass _Frozen.__setattr__, for __init__ alone.
+_NODE_ID, _NODE_KIND, _NODE_LABEL = (getattr(Node, s).__set__ for s in Node.__slots__)
+_EDGE_SOURCE, _EDGE_TARGET, _EDGE_VALUE = (getattr(Edge, s).__set__ for s in Edge.__slots__)
 
 
 class MuDD:
@@ -86,6 +113,34 @@ class MuDD:
         self.happens_before = []
         self._out_edges = {}
         self._next_id = 0
+        # The mutation counter and the identity memo it keys; each add_*
+        # starts a new memo, so copies stop sharing one once changed.
+        self._version = 0
+        self._identity = {}
+
+    def copy(self):
+        """An independent copy that shares the immutable nodes and edges,
+        and the identity memo until either µDD is next changed."""
+        clone = type(self).__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.nodes = dict(self.nodes)
+        clone.edges = list(self.edges)
+        clone.happens_before = list(self.happens_before)
+        clone._out_edges = {key: list(edges) for key, edges in self._out_edges.items()}
+        return clone
+
+    def _changed(self):
+        self._version += 1
+        self._identity = {}
+
+    def _memoized(self, key, compute):
+        """``compute()``, once per mutation count, name and ``key``."""
+        memo = self._identity
+        key = (self._version, self.name) + key
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute()
+        return value
 
     # -- construction ---------------------------------------------------
     def new_node_id(self):
@@ -101,6 +156,7 @@ class MuDD:
             raise MuDDError("duplicate node id %r" % (node_id,))
         self.nodes[node_id] = Node(node_id, kind, label)
         self._out_edges[node_id] = []
+        self._changed()
         return node_id
 
     def add_edge(self, source, target, value=None):
@@ -130,6 +186,7 @@ class MuDD:
         edge = Edge(source, target, value)
         self.edges.append(edge)
         self._out_edges[source].append(edge)
+        self._changed()
         return edge
 
     def add_happens_before(self, earlier, later):
@@ -139,6 +196,7 @@ class MuDD:
             if node_id not in self.nodes:
                 raise MuDDError("happens-before references unknown node %r" % (node_id,))
         self.happens_before.append((earlier, later))
+        self._changed()
 
     # -- queries ----------------------------------------------------------
     def out_edges(self, node_id):
@@ -156,22 +214,20 @@ class MuDD:
     @property
     def counters(self):
         """Counter names in first-appearance order (deterministic)."""
-        seen = []
-        for node_id in sorted(self.nodes, key=_node_order_key):
-            node = self.nodes[node_id]
-            if node.kind == COUNTER and node.label not in seen:
-                seen.append(node.label)
-        return seen
+        return list(self._memoized((COUNTER,), lambda: self._labels(COUNTER)))
 
     @property
     def properties(self):
         """Decision property names in first-appearance order."""
-        seen = []
+        return list(self._memoized((DECISION,), lambda: self._labels(DECISION)))
+
+    def _labels(self, kind):
+        seen = {}
         for node_id in sorted(self.nodes, key=_node_order_key):
             node = self.nodes[node_id]
-            if node.kind == DECISION and node.label not in seen:
-                seen.append(node.label)
-        return seen
+            if node.kind == kind:
+                seen.setdefault(node.label)
+        return tuple(seen)
 
     # -- validation ---------------------------------------------------------
     def validate(self):

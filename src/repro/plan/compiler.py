@@ -22,8 +22,11 @@ plan-level keys drive scheduling and deduplication, the session keys
 drive memoization, persistence, and resume.
 """
 
+from repro.cone.cache import mudd_fingerprint
 from repro.errors import AnalysisError
+from repro.results.fingerprint import RunFingerprints
 from repro.results.store import content_key
+from repro.sim.scenarios import as_mudd, is_dsl_source
 
 
 class SimTask:
@@ -118,6 +121,11 @@ class CompiledPlan:
         Total cells over all units *before* deduplication — the
         difference against ``len(cell_keys)`` is the work the plan
         layer saves.
+    models:
+        The model table: each distinct model reference, resolved once.
+    fingerprints:
+        The run's :class:`~repro.results.fingerprint.RunFingerprints`,
+        shared with the session's cell keys.
     """
 
     def __init__(self, plan, op_order):
@@ -130,6 +138,8 @@ class CompiledPlan:
         self.cell_keys = set()
         self.cells_requested = 0
         self.bundled_sizes = {}
+        self.models = {}
+        self.fingerprints = RunFingerprints()
 
     def counts(self):
         """Task totals for pricing (the dry-run report's raw material)."""
@@ -142,44 +152,32 @@ class CompiledPlan:
         }
 
 
-def _looks_like_dsl(text):
-    """The :func:`repro.sim.as_mudd` heuristic: statement terminators
-    or switch blocks mean DSL source, anything else is a bundled name."""
-    return ";" in text or "{" in text
+def _model_ref(compiled, model):
+    """``(resolved, token)`` for one model reference, resolved once per
+    plan (strings by value, objects by identity).
 
-
-def _model_token(model):
-    """Content identity of a model argument, for task keys.
-
-    Live cones key by cone fingerprint (their counter ordering is part
-    of verdict identity); µDDs and strings key by the canonical µDD
-    fingerprint, which ignores naming — so a bundled name and its DSL
-    source produce the same token.
+    ``resolved`` is what units hand to ``pipeline.model_cone``: a
+    bundled name becomes its µDD (``model_cone`` reads bare strings as
+    DSL source), while DSL source stays a string so facade-routed plans
+    build cones exactly the way the pre-plan pipeline did. ``token`` is
+    the content identity task keys use: a live cone's fingerprint (its
+    counter ordering is part of verdict identity), else
+    :func:`~repro.cone.cache.mudd_fingerprint`, which hashes the µDD's
+    name too — so a bundled name and its DSL source, compiled under the
+    name ``"model"``, key apart.
     """
-    fingerprint = getattr(model, "fingerprint", None)
-    if callable(fingerprint):                       # a ready ModelCone
-        return ("cone", fingerprint())
-    from repro.cone.cache import mudd_fingerprint
-
-    if isinstance(model, str):
-        from repro.sim import as_mudd
-
-        return ("mudd", mudd_fingerprint(as_mudd(model)))
-    return ("mudd", mudd_fingerprint(model))
-
-
-def _resolve_model(model):
-    """The object the engine will hand to ``pipeline.model_cone``.
-
-    Bundled names must resolve here (``model_cone`` treats bare strings
-    as DSL source); DSL source stays a string so facade-routed plans
-    build cones exactly the way the pre-plan pipeline did.
-    """
-    if isinstance(model, str) and not _looks_like_dsl(model):
-        from repro.sim import as_mudd
-
-        return as_mudd(model)
-    return model
+    key = model if isinstance(model, str) else id(model)
+    entry = compiled.models.get(key)
+    if entry is None:
+        fingerprint = getattr(model, "fingerprint", None)
+        if callable(fingerprint):                   # a ready ModelCone
+            entry = (model, ("cone", fingerprint()))
+        else:
+            mudd = as_mudd(model) if isinstance(model, str) else model
+            dsl = isinstance(model, str) and is_dsl_source(model)
+            entry = (model if dsl else mudd, ("mudd", mudd_fingerprint(mudd)))
+        compiled.models[key] = entry
+    return entry
 
 
 def _mode_token(use_regions, correlated, explain, pipeline):
@@ -190,12 +188,10 @@ def _mode_token(use_regions, correlated, explain, pipeline):
     return mode + (bool(explain), pipeline.backend)
 
 
-def _observation_token(observation, use_regions):
-    from repro.results.fingerprint import observation_fingerprint
-
+def _observation_token(compiled, observation, use_regions):
     if isinstance(observation, dict) and set(observation) == {"name", "point"}:
-        return ("obs", observation_fingerprint(observation["point"]))
-    return ("obs", observation_fingerprint(observation, samples=use_regions))
+        return ("obs", compiled.fingerprints(observation["point"]))
+    return ("obs", compiled.fingerprints(observation, samples=use_regions))
 
 
 def _bundled_size(compiled, source, scale):
@@ -217,12 +213,13 @@ def _bundled_size(compiled, source, scale):
     return len(compiled.bundled_sizes[slot])
 
 
-def _sim_task(compiled, model, n_observations, n_uops, seed, weights, noisy):
-    """Intern one simulation spec, returning its content-addressed key."""
-    resolved = _resolve_model(model)
+def _sim_task(compiled, ref, n_observations, n_uops, seed, weights, noisy):
+    """Intern one simulation spec of a :func:`_model_ref` entry,
+    returning its content-addressed key."""
+    resolved, token = ref
     key = content_key(
         "plan-sim",
-        _model_token(resolved),
+        token,
         int(n_observations),
         int(n_uops),
         int(seed),
@@ -256,7 +253,7 @@ def _dataset_source(compiled, op, sim_keys):
             )
         key = _sim_task(
             compiled,
-            model,
+            _model_ref(compiled, model),
             inner.pop("n_observations", 3),
             inner.pop("n_uops", 20000),
             inner.pop("seed", 0),
@@ -282,17 +279,16 @@ def _dataset_source(compiled, op, sim_keys):
     observations = list(spec["inline"])
     use_regions = bool(op.params.get("use_regions", False))
     tokens = [
-        _observation_token(observation, use_regions)
+        _observation_token(compiled, observation, use_regions)
         for observation in observations
     ]
     return DatasetSource("inline", observations=observations), tokens
 
 
-def _sweep_unit(compiled, pipeline, op_id, model, dataset, tokens,
+def _sweep_unit(compiled, pipeline, op_id, ref, dataset, tokens,
                 use_regions, correlated, explain):
-    resolved = _resolve_model(model)
+    resolved, model_token = ref
     mode = _mode_token(use_regions, correlated, explain, pipeline)
-    model_token = _model_token(resolved)
     cell_keys = [
         content_key("plan-cell", model_token, token, mode) for token in tokens
     ]
@@ -318,7 +314,7 @@ def compile_plan(plan, pipeline):
         if op.kind == "simulate_dataset":
             sim_keys[op_id] = _sim_task(
                 compiled,
-                op.params["model"],
+                _model_ref(compiled, op.params["model"]),
                 op.params["n_observations"],
                 op.params["n_uops"],
                 op.params["seed"],
@@ -327,12 +323,12 @@ def compile_plan(plan, pipeline):
             )
             compiled.assembly[op_id] = ("dataset", sim_keys[op_id])
         elif op.kind == "analyze":
-            resolved = _resolve_model(op.params["model"])
+            resolved, token = _model_ref(compiled, op.params["model"])
             observation = op.params["observation"]
             key = content_key(
                 "plan-report",
-                _model_token(resolved),
-                _observation_token(observation, use_regions=False),
+                token,
+                _observation_token(compiled, observation, use_regions=False),
                 pipeline.backend,
                 bool(op.params["explain"]),
             )
@@ -344,7 +340,8 @@ def compile_plan(plan, pipeline):
         elif op.kind == "sweep":
             dataset, tokens = _dataset_source(compiled, op, sim_keys)
             unit = _sweep_unit(
-                compiled, pipeline, op_id, op.params["model"], dataset,
+                compiled, pipeline, op_id,
+                _model_ref(compiled, op.params["model"]), dataset,
                 tokens, op.params["use_regions"], op.params["correlated"],
                 op.params["explain"],
             )
@@ -353,18 +350,23 @@ def compile_plan(plan, pipeline):
             dataset, tokens = _dataset_source(compiled, op, sim_keys)
             units = [
                 _sweep_unit(
-                    compiled, pipeline, op_id, model, dataset, tokens,
-                    op.params["use_regions"], op.params["correlated"],
-                    op.params["explain"],
+                    compiled, pipeline, op_id, _model_ref(compiled, model),
+                    dataset, tokens, op.params["use_regions"],
+                    op.params["correlated"], op.params["explain"],
                 )
                 for model in op.params["models"]
             ]
             compiled.assembly[op_id] = ("compare", units)
         elif op.kind == "cross_refute":
             from repro.parallel.runner import split_seeds
-            from repro.sim import as_mudd
 
-            mudds = [as_mudd(model) for model in op.params["models"]]
+            # Rows and columns carry µDDs (as_mudd refuses a live cone).
+            refs = [
+                (as_mudd(resolved), token) for resolved, token in (
+                    _model_ref(compiled, model) for model in op.params["models"]
+                )
+            ]
+            mudds = [mudd for mudd, _ in refs]
             names = [mudd.name for mudd in mudds]
             if len(set(names)) != len(names):
                 # The matrix is keyed by model name: a repeated name
@@ -378,7 +380,7 @@ def compile_plan(plan, pipeline):
                 op.params["seed"], len(mudds), stride=1000
             )
             rows = []
-            for observed, row_seed in zip(mudds, row_seeds):
+            for observed, row_seed in zip(refs, row_seeds):
                 key = _sim_task(
                     compiled,
                     observed,
@@ -399,9 +401,9 @@ def compile_plan(plan, pipeline):
                         compiled, pipeline, op_id, candidate, dataset,
                         tokens, False, True, op.params["explain"],
                     )
-                    for candidate in mudds
+                    for candidate in refs
                 ]
-                rows.append((observed.name, [
+                rows.append((observed[0].name, [
                     (candidate.name, unit)
                     for candidate, unit in zip(mudds, row_units)
                 ]))

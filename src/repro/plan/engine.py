@@ -329,10 +329,6 @@ class PlanEngine:
                     raise
                 sim_errors[key] = repr(error)
         simulate_seconds = time.perf_counter() - sim_started
-        bundled = {
-            slot: observations
-            for slot, observations in compiled.bundled_sizes.items()
-        }
 
         results = []
         errors = []
@@ -350,9 +346,8 @@ class PlanEngine:
             op_started = time.perf_counter()
             try:
                 self._run_op(
-                    op_id, kind, payload, compiled, datasets, bundled,
-                    scheduler, session, tracer, results, live_datasets,
-                    cells, reports,
+                    op_id, kind, payload, compiled, datasets, scheduler,
+                    session, tracer, results, live_datasets, cells, reports,
                 )
             except JobCancelled:
                 raise
@@ -388,9 +383,8 @@ class PlanEngine:
         result.datasets = live_datasets
         return result
 
-    def _run_op(self, op_id, kind, payload, compiled, datasets, bundled,
-                scheduler, session, tracer, results, live_datasets,
-                cells, reports):
+    def _run_op(self, op_id, kind, payload, compiled, datasets, scheduler,
+                session, tracer, results, live_datasets, cells, reports):
         """Dispatch one assembled op under its ``plan.op`` span; the
         session counts its outcomes into the ``cells`` (sweeps) and
         ``reports`` (analyze ops) tallies."""
@@ -409,18 +403,19 @@ class PlanEngine:
                 report = session.analyze(
                     payload.model, payload.observation,
                     explain=payload.explain, tally=reports,
+                    fingerprint=compiled.fingerprints,
                 )
                 results.append((op_id, report))
             elif kind == "sweep":
                 results.append((op_id, self._run_unit(
-                    payload, datasets, bundled, scheduler, session, cells,
+                    payload, compiled, datasets, scheduler, session, cells,
                 )))
             elif kind == "compare":
                 # A list, not a dict: CompareResult's duplicate-name
                 # guard must see every sweep.
                 results.append((op_id, CompareResult([
                     self._run_unit(
-                        unit, datasets, bundled, scheduler, session, cells
+                        unit, compiled, datasets, scheduler, session, cells
                     )
                     for unit in payload
                 ])))
@@ -428,7 +423,7 @@ class PlanEngine:
                 results.append((op_id, RefutationMatrix({
                     observed: CompareResult({
                         candidate: self._run_unit(
-                            unit, datasets, bundled, scheduler, session,
+                            unit, compiled, datasets, scheduler, session,
                             cells,
                         )
                         for candidate, unit in row
@@ -454,7 +449,7 @@ class PlanEngine:
             cause = sim_errors[payload]
         return {"op": op_id, "kind": kind, "cells": cells, "error": cause}
 
-    def _run_unit(self, unit, datasets, bundled, scheduler, session, tally):
+    def _run_unit(self, unit, compiled, datasets, scheduler, session, tally):
         """Execute one (model, dataset, mode) sweep unit.
 
         Simulated datasets define the cone's counter ordering (the
@@ -463,7 +458,9 @@ class PlanEngine:
         hardware datasets are projected onto the model's counter scope;
         inline observations run exactly like a facade ``sweep`` call.
         """
-        observations, counters = self._observations(unit, datasets, bundled)
+        observations, counters = self._observations(
+            unit, datasets, compiled.bundled_sizes
+        )
         cone = self.pipeline.model_cone(unit.model, counters=counters)
         if unit.dataset.kind == "bundled":
             from repro.models.dataset import project_observations
@@ -477,6 +474,7 @@ class PlanEngine:
             explain=unit.explain,
             compute=functools.partial(scheduler.compute, session),
             tally=tally,
+            fingerprint=compiled.fingerprints,
         )
 
     def _observations(self, unit, datasets, bundled):

@@ -84,4 +84,21 @@ def observation_fingerprint(observation, samples=False):
     return _digest(repr(("vector", values)))
 
 
-__all__ = ["observation_fingerprint", "sample_matrix_fingerprint"]
+class RunFingerprints(dict):
+    """:func:`observation_fingerprint`, at most once per observation and
+    view (point or samples) over one plan run.
+
+    Keyed by object identity, so it lives only as long as the run; each
+    entry holds its observation, so no id is reused while it does.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, observation, samples=False):
+        key = (id(observation), bool(samples))
+        if key not in self:
+            self[key] = (observation, observation_fingerprint(observation, samples))
+        return self[key][1]
+
+
+__all__ = ["RunFingerprints", "observation_fingerprint", "sample_matrix_fingerprint"]

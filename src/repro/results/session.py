@@ -198,12 +198,13 @@ class AnalysisSession:
         self.claims = None
 
     # -- memo plumbing -----------------------------------------------------
-    def _cell_key(self, cone, observation, use_regions, correlated, explain):
+    def _cell_key(self, cone, observation, use_regions, correlated, explain,
+                  fingerprint=observation_fingerprint):
         if use_regions:
             return content_key(
                 "region",
                 cone.fingerprint(),
-                observation_fingerprint(observation, samples=True),
+                fingerprint(observation, samples=True),
                 self.pipeline.backend,
                 repr(float(self.pipeline.confidence)),
                 bool(correlated),
@@ -212,7 +213,7 @@ class AnalysisSession:
         return content_key(
             "point",
             cone.fingerprint(),
-            observation_fingerprint(observation),
+            fingerprint(observation),
             self.pipeline.backend,
             bool(explain),
         )
@@ -269,7 +270,8 @@ class AnalysisSession:
 
     # -- sweeps ------------------------------------------------------------
     def sweep(self, model, observations, use_regions=False, correlated=True,
-              explain=False, compute=None, tally=None):
+              explain=False, compute=None, tally=None,
+              fingerprint=observation_fingerprint):
         """Evaluate a model against a dataset, testing only new cells.
 
         Identical contract to :meth:`repro.pipeline.CounterPoint.sweep`
@@ -291,6 +293,8 @@ class AnalysisSession:
         ``tally``, a :class:`collections.Counter`, additionally receives
         this call's own ``tests``, ``memo_hits`` and ``store_hits``,
         which :attr:`stats` mixes with every other caller's.
+        ``fingerprint`` hashes observations for the cell keys (the engine
+        passes its run's :class:`~repro.results.fingerprint.RunFingerprints`).
         """
         pipeline = self.pipeline
         tracer = get_tracer()
@@ -307,7 +311,8 @@ class AnalysisSession:
             pending = []
             for index, observation in enumerate(observations):
                 key = self._cell_key(
-                    cone, observation, use_regions, correlated, explain
+                    cone, observation, use_regions, correlated, explain,
+                    fingerprint,
                 )
                 verdict = self._lookup(key, tally)
                 if verdict is None:
@@ -417,15 +422,16 @@ class AnalysisSession:
         )
 
     # -- single-observation analysis ---------------------------------------
-    def analyze(self, model, observation, explain=False, tally=None):
+    def analyze(self, model, observation, explain=False, tally=None,
+                fingerprint=observation_fingerprint):
         """Test one observation (point or region) against one model.
 
         Returns an :class:`~repro.results.types.AnalysisReport`. Reports
         are memoized whole — including the violated-constraint list,
         whose deduction is the pipeline's most expensive step — so
         re-analyzing a known-infeasible observation is free even in a
-        fresh process sharing the store. ``tally`` receives this call's
-        own outcome, as in :meth:`sweep`.
+        fresh process sharing the store. ``tally`` and ``fingerprint``
+        are as in :meth:`sweep`.
         """
         pipeline = self.pipeline
         tracer = get_tracer()
@@ -433,16 +439,18 @@ class AnalysisSession:
             model, "name", str(model)
         )) as span:
             return self._analyze(
-                pipeline, model, observation, explain, span, tally
+                pipeline, model, observation, explain, span, tally,
+                fingerprint,
             )
 
-    def _analyze(self, pipeline, model, observation, explain, span, tally):
+    def _analyze(self, pipeline, model, observation, explain, span, tally,
+                 fingerprint):
         cone = pipeline.model_cone(model)
         is_region = hasattr(observation, "box_constraints")
         key = content_key(
             "report",
             cone.fingerprint(),
-            observation_fingerprint(observation, samples=False),
+            fingerprint(observation, samples=False),
             pipeline.backend,
             bool(explain),
         )

@@ -19,17 +19,24 @@ from repro.sim.executor import MuDDExecutor
 from repro.sim.noise import default_multiplexer, simulate_interval_matrix
 
 
+def is_dsl_source(text):
+    """:func:`as_mudd`'s rule for strings: statement terminators or
+    switch blocks mean DSL source, anything else a bundled-model name."""
+    return ";" in text or "{" in text
+
+
 def as_mudd(model, name=None):
     """Coerce a model argument to a validated µDD.
 
     Accepts a :class:`MuDD`, DSL source text (anything containing a
     statement terminator), or a bundled-model name
-    (:mod:`repro.models.bundled`).
+    (:mod:`repro.models.bundled`). Strings are parsed once per process
+    (:func:`repro.dsl.compile_dsl`); each call returns a fresh copy.
     """
     if isinstance(model, MuDD):
         return model
     if isinstance(model, str):
-        if ";" in model or "{" in model:
+        if is_dsl_source(model):
             return compile_dsl(model, name=name or "model")
         from repro.models.bundled import load_bundled_model
 

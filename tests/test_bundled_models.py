@@ -1,15 +1,31 @@
 """Tests for the bundled DSL model library."""
 
+import os
+
 import pytest
 
 from repro.cone import ModelCone
 from repro.cone import test_point_feasibility as point_feasibility
 from repro.errors import ConfigurationError
+from repro.models import bundled
 from repro.models.bundled import (
     bundled_model_names,
     bundled_model_source,
     load_bundled_model,
 )
+from repro.pipeline import CounterPoint
+from repro.plan import Plan
+
+
+def planted_model_names(tmp_path):
+    """A valid DSL file outside the package, and the relative and
+    absolute names that would have reached it through the model
+    directory."""
+    planted = tmp_path / "evil" / "x.dsl"
+    planted.parent.mkdir()
+    planted.write_text("incr planted.secret;\ndone;\n", encoding="utf-8")
+    stem = str(planted)[: -len(".dsl")]
+    return [os.path.relpath(stem, bundled._DSL_DIR), stem]
 
 
 class TestBundledLibrary:
@@ -30,6 +46,30 @@ class TestBundledLibrary:
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError):
             bundled_model_source("ghost_model")
+
+    def test_paths_outside_the_package_are_rejected(self, tmp_path):
+        for name in planted_model_names(tmp_path):
+            with pytest.raises(ConfigurationError, match="no bundled model"):
+                load_bundled_model(name)
+
+    def test_plans_cannot_load_a_planted_file(self, tmp_path):
+        for name in planted_model_names(tmp_path):
+            plan = Plan()
+            plan.simulate_dataset(name, 1, n_uops=200)
+            with CounterPoint() as counterpoint:
+                with pytest.raises(ConfigurationError, match="no bundled model"):
+                    counterpoint.run(plan)
+
+    def test_changing_a_loaded_model_leaves_the_next_load_alone(self):
+        first = load_bundled_model("pde_initial")
+        before = list(first.counters)
+        end = first.end_nodes()[0].node_id
+        first.add_edge(first.add_node("counter", "extra.counter"), end)
+        assert "extra.counter" in first.counters
+        again = load_bundled_model("pde_initial")
+        assert again is not first
+        assert again.counters == before
+        assert len(again.nodes) == len(first.nodes) - 1
 
     def test_sources_carry_documentation(self):
         for name in bundled_model_names():

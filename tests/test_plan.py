@@ -20,6 +20,7 @@ The headline contracts, asserted with real call counters:
 import json
 import os
 import threading
+from collections import Counter
 
 import pytest
 
@@ -610,6 +611,66 @@ class TestResume:
         assert counter.total == 3
         assert result.stats["computed"] == 3
         assert result.stats["store_hits"] == 3
+
+
+CAMPAIGN_MODELS = [
+    "merging_load_side", "no_merging_load_side", "pde_initial",
+    "pde_refined", "walk_refs_2m", "walk_refs_4k",
+]
+
+
+def campaign_plan():
+    """perfbench's plan campaign at test size: a 6-model cross-refutation
+    matrix, plus a dataset feeding a compare and a sweep that overlap
+    the matrix's first row."""
+    plan = Plan()
+    plan.cross_refute(
+        CAMPAIGN_MODELS, n_observations=2, n_uops=2000, seed=0,
+        op_id="matrix",
+    )
+    plan.simulate_dataset(
+        CAMPAIGN_MODELS[0], 2, n_uops=2000, seed=0, op_id="data"
+    )
+    plan.compare(CAMPAIGN_MODELS, "data", op_id="ranking")
+    plan.sweep(CAMPAIGN_MODELS[1], "data", op_id="refute")
+    return plan
+
+
+class TestWarmPath:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_rerun_parses_walks_and_computes_nothing(
+        self, tmp_path, monkeypatch, workers
+    ):
+        import repro.cone.cache as cone_cache
+        import repro.dsl.parser as dsl_parser
+
+        cache_dir = str(tmp_path / "cache")
+        with CounterPoint(cache_dir=cache_dir, workers=workers) as cold:
+            first = cold.run(campaign_plan())
+        assert first.stats["computed"] > 0
+
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dsl_parser, "compile_program", counted(
+            "compile_program", dsl_parser.compile_program
+        ))
+        monkeypatch.setattr(cone_cache, "_fingerprint_walk", counted(
+            "fingerprint_walk", cone_cache._fingerprint_walk
+        ))
+        # A fresh pipeline in the same process: only the store and the
+        # process's identity memos are warm.
+        with CounterPoint(cache_dir=cache_dir, workers=workers) as warm:
+            second = warm.run(campaign_plan())
+        assert calls == {}
+        assert second.stats["computed"] == 0
+        assert PlanResult(dict(second.items())).to_json(indent=2) == \
+            PlanResult(dict(first.items())).to_json(indent=2)
 
 
 def reference_cross_refute(pipeline, models, n_observations, n_uops, seed=0):

@@ -18,6 +18,7 @@ sockets:
   :class:`~repro.errors.QueueFullError` / HTTP 429 + Retry-After.
 """
 
+import os
 import socket
 import threading
 import time
@@ -26,6 +27,7 @@ import pytest
 
 import repro.results.session as session_module
 from repro.errors import JobCancelled, QueueFullError, ReproError, ServeError
+from repro.models import bundled
 from repro.pipeline import CounterPoint
 from repro.plan import Plan, SerialScheduler
 from repro.serve import (
@@ -378,6 +380,23 @@ class TestPlanService:
         # The daemon survives: the next job runs normally.
         ok = service.submit(overlap_plan(), tenant="alice")
         assert _wait_terminal(service, ok["id"])["state"] == "done"
+
+    def test_plans_cannot_load_dsl_files_outside_the_package(
+            self, service, tmp_path):
+        # A valid model outside the package, named by a path relative
+        # to the bundled-model directory and by an absolute one.
+        planted = tmp_path / "evil" / "x.dsl"
+        planted.parent.mkdir()
+        planted.write_text("incr planted.secret;\ndone;\n", encoding="utf-8")
+        stem = str(planted)[: -len(".dsl")]
+        for name in (os.path.relpath(stem, bundled._DSL_DIR), stem):
+            plan = Plan()
+            plan.simulate_dataset(name, 1, n_uops=200, op_id="data")
+            job = service.submit(plan, tenant="mallory")
+            status = _wait_terminal(service, job["id"])
+            assert status["state"] == "failed"
+            assert "ConfigurationError" in status["error"]
+            assert "planted" not in status["error"].replace(name, "")
 
     def test_event_log_is_sequenced_and_terminal(self, service):
         job = service.submit(overlap_plan(), tenant="alice")

@@ -25,9 +25,9 @@ globally, dry runs price the work, and store-backed runs resume.
 """
 
 from repro.cone import ModelCone, shared_cache
-from repro.dsl import compile_dsl
 from repro.errors import AnalysisError
 from repro.mudd import MuDD
+from repro.sim.scenarios import as_mudd
 
 # Result types historically lived here; the canonical home is now
 # repro.results, re-exported for compatibility.
@@ -189,11 +189,16 @@ class CounterPoint:
 
     # -- model ingestion ---------------------------------------------------
     def model_cone(self, model, counters=None):
-        """Accepts DSL source, a µDD, or a ready ModelCone.
+        """Accepts DSL source, a bundled-model name, a µDD, or a ready
+        ModelCone.
+
+        Strings follow :func:`repro.sim.scenarios.as_mudd`'s rule, as
+        every plan op does: text with ``;`` or ``{`` is DSL source,
+        anything else names a bundled model.
 
         ``counters`` overrides the pipeline's counter ordering for this
         call (used by :meth:`cross_refute`, where the ordering comes
-        from the simulated dataset). Cones built from µDDs or DSL text
+        from the simulated dataset). Cones built from µDDs or strings
         are served from the process's content-addressed cone cache
         (:func:`repro.cone.cache.shared_cache`).
         """
@@ -202,7 +207,7 @@ class CounterPoint:
         if isinstance(model, ModelCone):
             return model
         if isinstance(model, str):
-            model = compile_dsl(model)
+            model = as_mudd(model)
         if isinstance(model, MuDD):
             return self.cone_cache.get(model, counters=counters)
         raise AnalysisError("cannot interpret %r as a model" % (type(model).__name__,))
@@ -231,8 +236,9 @@ class CounterPoint:
         Parameters
         ----------
         model:
-            Anything :meth:`model_cone` accepts (DSL source, µDD, or a
-            ready :class:`~repro.cone.ModelCone`).
+            Anything :meth:`model_cone` accepts (DSL source, a
+            bundled-model name, a µDD, or a ready
+            :class:`~repro.cone.ModelCone`).
         observations:
             Objects with ``name`` and ``point()`` — typically
             :class:`repro.models.dataset.Observation`.

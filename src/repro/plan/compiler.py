@@ -157,11 +157,11 @@ def _model_ref(compiled, model):
     plan (strings by value, objects by identity).
 
     ``resolved`` is what units hand to ``pipeline.model_cone``: a
-    bundled name becomes its µDD (``model_cone`` reads bare strings as
-    DSL source), while DSL source stays a string so facade-routed plans
-    build cones exactly the way the pre-plan pipeline did. ``token`` is
-    the content identity task keys use: a live cone's fingerprint (its
-    counter ordering is part of verdict identity), else
+    bundled name becomes its µDD, loaded once per plan, while DSL source
+    stays a string so facade-routed plans build cones exactly the way
+    the pre-plan pipeline did. ``token`` is the content identity task
+    keys use: a live cone's fingerprint (its counter ordering is part
+    of verdict identity), else
     :func:`~repro.cone.cache.mudd_fingerprint`, which hashes the µDD's
     name too — so a bundled name and its DSL source, compiled under the
     name ``"model"``, key apart.

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 
 from repro.errors import AnalysisError, JobCancelled
 from repro.obs.trace import OBS_SCHEMA_VERSION, activate, tracer_for
-from repro.plan.compiler import compile_plan
+from repro.plan.compiler import CompiledPlan, compile_plan
 from repro.plan.schedulers import SerialScheduler, scheduler_for
 from repro.results.base import ResultBase, register, result_from_dict
 from repro.results.types import CompareResult, RefutationMatrix
@@ -286,6 +286,12 @@ class PlanEngine:
     def run(self, plan, scheduler=None, collect_errors=False):
         """Execute ``plan``; returns a :class:`PlanResult`.
 
+        ``plan`` is a :class:`~repro.plan.spec.Plan`, compiled here, or
+        the :class:`~repro.plan.compiler.CompiledPlan` that
+        :func:`~repro.plan.compiler.compile_plan` already built for it
+        against this engine's pipeline (the serve daemon compiles first
+        to report task counts), which runs as it is.
+
         ``scheduler`` overrides the default execution strategy
         (:func:`~repro.plan.schedulers.scheduler_for`: pool when the
         pipeline is parallel, serial otherwise).
@@ -311,7 +317,10 @@ class PlanEngine:
 
     def _execute(self, plan, scheduler, tracer, collect_errors=False):
         started = time.perf_counter()
-        compiled = compile_plan(plan, self.pipeline)
+        if isinstance(plan, CompiledPlan):
+            compiled = plan
+        else:
+            compiled = compile_plan(plan, self.pipeline)
         if scheduler is None:
             scheduler = scheduler_for(self.pipeline)
         session = self.pipeline.session()

@@ -305,7 +305,7 @@ class PlanService:
                 observer=job.observe,
             )
             result = self.engine.run(
-                job.plan, scheduler=scheduler, collect_errors=True,
+                compiled, scheduler=scheduler, collect_errors=True,
             )
         except JobCancelled:
             job.set_state("cancelled")

@@ -2,20 +2,15 @@
 
 CounterPoint's other layers point one direction: hardware measurements
 in, refutations out. This subsystem points the other way — it *runs*
-a compiled µDD as a program and emits the counter observations the
+a compiled µDD over µop streams and emits the counter observations the
 analysis layers consume, closing the loop (simulate model A, refute
 model B) and unlocking unlimited synthetic scenario generation.
 
 Layer map
 ---------
-* :mod:`repro.sim.executor` — :class:`MuDDExecutor`: executes a µDD
-  per µop, resolving decisions through an oracle and accumulating
-  counter totals (plus per-interval time series). It interprets the
-  µDD edge by edge, or runs its generated program where that is exact.
-* :mod:`repro.sim.codegen` — the generated program: the µDD's decision
-  tree emitted as specialised Python source (inlined branch dispatch
-  on compiled oracle samplers, no per-edge dict lookups), memoized
-  in-process by the lowered tables and never stored on disk.
+* :mod:`repro.sim.executor` — :class:`MuDDExecutor`: interprets a µDD
+  edge by edge per µop, resolving decisions through an oracle and
+  accumulating counter totals (plus per-interval time series).
 * :mod:`repro.sim.oracles` — decision resolvers: seeded
   :class:`RandomOracle`, scripted :class:`TableOracle`, and the
   device-backed :class:`MMUOracle` that answers the Haswell model

@@ -20,15 +20,12 @@ checks).
 
 The executor pre-lowers the µDD into dense integer tables
 (:class:`CompiledMuDD`) so the per-µop walk touches only list indexing —
-no dict-of-objects traversal on the hot path. :meth:`MuDDExecutor.run`
-goes further where it can: for an oracle with inert hooks it runs the
-µDD's generated program (:mod:`repro.sim.codegen`), bit-for-bit equal
-to the interpreter and several times faster. The interpreter runs
-everything else and remains the reference semantics the program is
-fuzzed against.
+no dict-of-objects traversal on the hot path. Every entry point
+(:meth:`~MuDDExecutor.run_uop`, :meth:`~MuDDExecutor.run`,
+:meth:`~MuDDExecutor.run_intervals`) interprets the tables; runs under
+a random oracle that need speed go through :mod:`repro.sim.batch`
+instead, which draws whole traces from the µpath distribution.
 """
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.mudd.graph import COUNTER, DECISION, END, EVENT, MuDD
@@ -101,16 +98,6 @@ class CompiledMuDD:
                 self.nexts[i] = index[out[0].target]
         self.start = index[mudd.start_node().node_id]
 
-    def branch_values(self, node_index):
-        """Branch labels of a decision node, in edge order.
-
-        Edge order is load-bearing: generated programs dispatch on
-        branch *indices* into this list, and the ``branches`` dicts
-        preserve µDD edge insertion order across compile and pickle
-        round-trips (``tests/test_sim_equivalence.py`` pins this).
-        """
-        return list(self.branches[node_index])
-
 
 class MuDDExecutor:
     """Executes a µDD over µop streams, one µpath per µop.
@@ -128,12 +115,6 @@ class MuDDExecutor:
         Safety valve on nodes visited per µop (malformed oracles cannot
         loop because µDDs are acyclic, but a generous bound keeps the
         failure mode explicit).
-
-    :meth:`run` picks its own engine: the generated program when the
-    oracle's hooks are inert, the program exists (the µDD's decision
-    tree fits under the :mod:`repro.sim.codegen` caps), and its longest
-    walk is within ``max_steps``; the interpreter otherwise.
-    :meth:`run_uop` and :meth:`run_intervals` always interpret.
     """
 
     def __init__(self, mudd, counters=None, max_steps=100000):
@@ -148,7 +129,6 @@ class MuDDExecutor:
         self.max_steps = max_steps
         self.totals = [0] * len(self.compiled.counters)
         self.n_uops = 0
-        self._program = None
 
     @property
     def counters(self):
@@ -205,12 +185,19 @@ class MuDDExecutor:
     # -- trace execution ----------------------------------------------------
     def _uop_stream(self, oracle, uops):
         """The trace µops interleaved with oracle-injected ones (e.g. the
-        translation prefetches an MMU oracle's trigger detector emits)."""
+        translation prefetches an MMU oracle's trigger detector emits),
+        each handed to the oracle's ``begin_uop`` hook just before it
+        is yielded to run."""
+        begin = getattr(oracle, "begin_uop", None)
         inject = getattr(oracle, "pending_uops", None)
         for op in uops:
+            if begin is not None:
+                begin(op)
             yield op
             if inject is not None:
                 for extra in inject():
+                    if begin is not None:
+                        begin(extra)
                     yield extra
 
     def run(self, oracle, uops):
@@ -219,42 +206,16 @@ class MuDDExecutor:
         ``uops`` is any iterable of µops — :meth:`Workload.ops
         <repro.workloads.base.Workload.ops>` output, a
         :class:`~repro.workloads.trace.TraceWorkload` replay, or plain
-        ``None`` placeholders for oracles that ignore the µop. When a
-        µop raises, the totals keep every µop completed before it; the
-        failing µop's partial walk is counted only when interpreted.
+        ``None`` placeholders for oracles that ignore the µop. Each µop,
+        injected ones included, runs through :meth:`run_uop` after the
+        oracle's ``begin_uop`` hook. When a µop raises, the totals keep
+        every µop completed before it and the counters the failing µop's
+        partial walk had already bumped; ``n_uops`` counts completed
+        µops only.
         """
-        program = self._exact_program(oracle)
-        if program is not None:
-            counts = [0] * len(program.leaf_deltas)
-            try:
-                program.runner(oracle, self.compiled.name, counts)(uops)
-            finally:
-                # Every completed µop bumped exactly one leaf bucket.
-                self.n_uops += sum(counts)
-                deltas = np.asarray(counts, dtype=np.int64) @ program.leaf_deltas
-                for slot, value in enumerate(deltas.tolist()):
-                    self.totals[slot] += value
-            return self.snapshot()
-        begin = getattr(oracle, "begin_uop", None)
         for op in self._uop_stream(oracle, uops):
-            if begin is not None:
-                begin(op)
             self.run_uop(oracle, op)
         return self.snapshot()
-
-    def _exact_program(self, oracle):
-        """The generated program when it runs ``oracle`` exactly, else
-        ``None`` (see the class docstring)."""
-        from repro.sim.codegen import hooks_are_noops, program_for
-
-        if not hooks_are_noops(oracle):
-            return None
-        if self._program is None:
-            self._program = program_for(self.compiled) or False
-        program = self._program
-        if program and program.max_path_len <= self.max_steps:
-            return program
-        return None
 
     def run_intervals(self, oracle, uops, uops_per_interval):
         """Execute a stream and yield per-interval counter deltas — the
@@ -272,14 +233,11 @@ class MuDDExecutor:
             schedule = [int(size) for size in uops_per_interval]
             if not schedule or any(size <= 0 for size in schedule):
                 raise SimulationError("interval schedule must be positive ints")
-        begin = getattr(oracle, "begin_uop", None)
         previous = list(self.totals)
         in_interval = 0
         slot = 0
         target = schedule[0]
         for op in self._uop_stream(oracle, uops):
-            if begin is not None:
-                begin(op)
             self.run_uop(oracle, op)
             in_interval += 1
             if in_interval == target:

@@ -24,7 +24,8 @@ is the list of branch labels the model offers (in edge order). Oracles
 may also implement ``begin_uop(op)`` (per-µop device bookkeeping),
 ``on_event(name, op)`` (EVENT-node side effects such as ``StartWalk``)
 and ``pending_uops()`` (injecting extra µops, e.g. translation
-prefetches).
+prefetches). The executor interprets every run, so these four methods
+are the whole interface: an oracle is called, never compiled.
 """
 
 import random
@@ -57,34 +58,6 @@ class Oracle:
     def pending_uops(self):
         """µops the device wants injected after the current one."""
         return []
-
-    def compile_sampler(self, prop, values, model="µDD"):
-        """A specialised ``op -> branch index`` closure for one decision.
-
-        ``values`` is the branch label list in µDD edge order; the
-        returned callable must consume exactly the state a
-        :meth:`resolve` call would (same RNG draws, same side effects)
-        and map the chosen label to its edge index — the contract the
-        generated program (:mod:`repro.sim.codegen`) relies on for
-        bit-for-bit equivalence with the interpreter. The base
-        implementation wraps :meth:`resolve`; subclasses may specialise
-        (see :class:`RandomOracle`).
-        """
-        values = list(values)
-        index = {value: position for position, value in enumerate(values)}
-        resolve = self.resolve
-
-        def sample(op):
-            value = resolve(prop, list(values), op)
-            branch = index.get(value)
-            if branch is None:
-                raise SimulationError(
-                    "oracle resolved %s=%r but %r offers branches %s"
-                    % (prop, value, model, ", ".join(values))
-                )
-            return branch
-
-        return sample
 
 
 class RandomOracle(Oracle):
@@ -125,61 +98,6 @@ class RandomOracle(Oracle):
                 return value
         return candidates[-1]
 
-    def compile_sampler(self, prop, values, model="µDD"):
-        """Branch-index sampler replicating :meth:`resolve` exactly.
-
-        The sorted-candidate table, weight vector, and float scan are
-        precomputed once; each call consumes the same single
-        ``randrange``/``random`` draw the interpreter would, so the RNG
-        stream stays bit-for-bit aligned.
-        """
-        values = list(values)
-        candidates = sorted(values)
-        to_edge = [values.index(value) for value in candidates]
-        table = self.weights.get(prop)
-        if not table:
-            def sample(op, _randrange=self._rng.randrange,
-                       _map=to_edge, _n=len(candidates)):
-                return _map[_randrange(_n)]
-
-            return sample
-        branch_weights = [float(table.get(value, 1.0)) for value in candidates]
-        total = sum(branch_weights)
-        if total <= 0:
-            message = (
-                "weights for property %r sum to zero over branches %s"
-                % (prop, ", ".join(candidates))
-            )
-
-            def sample(op, _message=message):
-                raise SimulationError(_message)
-
-            return sample
-        if len(candidates) == 2:
-            # The two-branch scan collapses to one compare; the float
-            # arithmetic (multiply, then a single subtraction) is the
-            # resolve scan's exact op sequence, and the fallthrough
-            # (``pick`` never going negative) lands on candidates[-1]
-            # either way.
-            def sample(op, _random=self._rng.random, _total=total,
-                       _w0=branch_weights[0], _b0=to_edge[0],
-                       _b1=to_edge[1]):
-                return _b0 if _random() * _total - _w0 < 0 else _b1
-
-            return sample
-        pairs = list(zip(to_edge, branch_weights))
-
-        def sample(op, _random=self._rng.random, _pairs=pairs,
-                   _total=total, _last=to_edge[-1]):
-            pick = _random() * _total
-            for branch, weight in _pairs:
-                pick -= weight
-                if pick < 0:
-                    return branch
-            return _last
-
-        return sample
-
 
 class TableOracle(Oracle):
     """Fixed property → value mapping (values may be callables).
@@ -203,31 +121,6 @@ class TableOracle(Oracle):
             "TableOracle has no entry for property %r (branches: %s)"
             % (prop, ", ".join(values))
         )
-
-    def compile_sampler(self, prop, values, model="µDD"):
-        """Constant entries compile to a constant branch index; callable
-        entries and fallback chains keep the generic resolve wrapper."""
-        if prop in self.mapping and not callable(self.mapping[prop]):
-            entry = self.mapping[prop]
-            values = list(values)
-            try:
-                branch = values.index(entry)
-            except ValueError:
-                message = (
-                    "oracle resolved %s=%r but %r offers branches %s"
-                    % (prop, entry, model, ", ".join(values))
-                )
-
-                def sample(op, _message=message):
-                    raise SimulationError(_message)
-
-                return sample
-
-            def sample(op, _branch=branch):
-                return _branch
-
-            return sample
-        return Oracle.compile_sampler(self, prop, values, model=model)
 
 
 class PrefetchUop:

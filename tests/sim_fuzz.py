@@ -1,9 +1,10 @@
-"""Seeded random-µDD generator for the differential equivalence suite.
+"""Seeded random-µDD generator for the differential suites.
 
 Grows random acyclic decision diagrams over all five node kinds
-(START / EVENT / COUNTER / DECISION / END) so the fuzz sweep in
-``test_sim_equivalence.py`` exercises every structural feature the
-generated program and the interpreter must agree on:
+(START / EVENT / COUNTER / DECISION / END) so the seeded sweeps
+(``test_sim_equivalence.py``, ``test_path_fold.py``,
+``test_certified_lp.py``, ``test_mudd_identity.py``) exercise every
+structural feature a µDD walker must handle:
 
 * configurable depth and decision fan-out,
 * repeated properties along a path (the traversal rule: a property
@@ -51,15 +52,8 @@ class _Budget:
 
 def random_mudd(seed, max_depth=6, max_fanout=3, n_properties=4, n_counters=4,
                 n_events=3, p_repeat=0.35, p_counter=0.35, p_event=0.15,
-                p_end=0.15, node_budget=300, full_domains=False,
-                name=None):
-    """A random valid µDD, fully determined by ``seed``.
-
-    ``full_domains=True`` forces every decision (not just repeated ones)
-    to branch over its property's whole value domain — required when a
-    :class:`~repro.sim.oracles.TableOracle` scripts constant values, so
-    the scripted value always has a branch.
-    """
+                p_end=0.15, node_budget=300, name=None):
+    """A random valid µDD, fully determined by ``seed``."""
     rng = random.Random(seed)
     properties = list(_DOMAINS)[:max(1, min(n_properties, len(_DOMAINS)))]
     counters = list(_COUNTER_POOL[:max(1, min(n_counters, len(_COUNTER_POOL)))])
@@ -88,7 +82,7 @@ def random_mudd(seed, max_depth=6, max_fanout=3, n_properties=4, n_counters=4,
         repeat = assigned and rng.random() < p_repeat
         prop = rng.choice(sorted(assigned)) if repeat else rng.choice(properties)
         domain = list(_DOMAINS[prop])
-        if repeat or full_domains or prop in assigned:
+        if repeat or prop in assigned:
             # Every already-assignable value needs a branch (traversal
             # rule: the walk follows the earlier assignment statically).
             branch_values = domain
@@ -129,14 +123,3 @@ def observed_counters(seed, mudd):
         names = rng.sample(names, rng.randint(1, len(names) - 1))
     rng.shuffle(names)
     return names
-
-
-def constant_table(seed, mudd):
-    """A TableOracle mapping scripting a constant value for a random
-    subset of properties (valid only with ``full_domains=True`` models)."""
-    rng = random.Random(seed ^ 0x7AB1E)
-    table = {}
-    for prop in mudd.properties:
-        if rng.random() < 0.7:
-            table[prop] = rng.choice(_DOMAINS[prop])
-    return table

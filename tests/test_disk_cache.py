@@ -318,10 +318,10 @@ class TestNothingFromDiskRunsCode:
 
     def test_planted_codegen_source_is_never_run(self, tmp_path):
         """A generated-program file under ``REPRO_CODEGEN_CACHE`` (the
-        variable once pointed a disk tier there), named by the key that
-        tier used, is never read: the default executor's run, which
-        takes the generated program, matches the interpreter and runs
-        nothing planted."""
+        variable once pointed a disk tier of generated simulator
+        programs there), named by the key that tier used, is never
+        read: ``run`` in a fresh process matches a ``run_uop`` loop and
+        runs nothing planted."""
         codegen_dir = tmp_path / "codegen"
         codegen_dir.mkdir()
         marker = str(tmp_path / "source-ran")

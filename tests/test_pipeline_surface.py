@@ -19,6 +19,7 @@ from repro.errors import (
     StatsError,
 )
 from repro.mmu import MMUSimulator, MemoryOp
+from repro.models.bundled import load_bundled_model
 
 PDE_MODEL = """
 incr load.causes_walk;
@@ -131,6 +132,18 @@ class TestPipelineSurface:
         assert isinstance(cone, ModelCone)
         assert isinstance(mudd, MuDD)
         assert cone.name == "direct"
+
+    def test_model_cone_accepts_bundled_names(self):
+        # Strings follow as_mudd's rule, as analyze and sweep read them.
+        cp = CounterPoint()
+        cone = cp.model_cone("pde_initial")
+        assert cone.name == "pde_initial"
+        assert cone.fingerprint() == cp.model_cone(
+            load_bundled_model("pde_initial")
+        ).fingerprint()
+        assert cp.model_cone(PDE_MODEL).name == "model"
+        with pytest.raises(ConfigurationError):
+            cp.model_cone("no_such_model")
 
     def test_analyze_with_point_region(self):
         report = CounterPoint().analyze(PDE_MODEL, PointRegion([10.0, 4.0]))

@@ -25,11 +25,13 @@ import time
 
 import pytest
 
+import repro.plan.engine as engine_module
 import repro.results.session as session_module
+import repro.serve.daemon as daemon_module
 from repro.errors import JobCancelled, QueueFullError, ReproError, ServeError
 from repro.models import bundled
 from repro.pipeline import CounterPoint
-from repro.plan import Plan, SerialScheduler
+from repro.plan import Plan, SerialScheduler, compile_plan
 from repro.serve import (
     CancelToken,
     FairQueue,
@@ -367,6 +369,27 @@ class TestPlanService:
             # Capacity freed: the retried submission is accepted.
             retry = svc.submit(overlap_plan(), tenant="bob")
             assert _wait_terminal(svc, retry["id"])["state"] == "done"
+
+    def test_each_job_compiles_its_plan_once(self, service, monkeypatch):
+        # The service compiles a job to report its task counts and runs
+        # that compiled plan; the engine must not compile it again.
+        calls = []
+
+        def counted(plan, pipeline):
+            calls.append(plan)
+            return compile_plan(plan, pipeline)
+
+        monkeypatch.setattr(daemon_module, "compile_plan", counted)
+        monkeypatch.setattr(engine_module, "compile_plan", counted)
+        plan = Plan()
+        plan.sweep("pde_initial", dataset={
+            "inline": [{"name": "x", "point": {
+                "load.causes_walk": 2, "load.pde$_miss": 1,
+            }}],
+        })
+        job = service.submit(plan, tenant="alice")
+        assert _wait_terminal(service, job["id"])["state"] == "done"
+        assert len(calls) == 1
 
     def test_compile_failure_fails_the_job_not_the_daemon(self, service):
         plan = Plan()

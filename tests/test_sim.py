@@ -61,6 +61,16 @@ class TestExecutor:
         totals = executor.run(TableOracle({"Pde$Status": "Miss"}), [None] * 50)
         assert totals == {"load.causes_walk": 50, "load.pde$_miss": 50}
         assert executor.n_uops == 50
+        # A callable entry scripts per-µop choices; unknown properties
+        # go to the fallback.
+        every_third = TableOracle({
+            "Pde$Status": lambda op, values: "Hit" if op % 3 else "Miss",
+        })
+        totals = MuDDExecutor(mudd).run(every_third, range(30))
+        assert totals == {"load.causes_walk": 30, "load.pde$_miss": 10}
+        chained = TableOracle({}, fallback=TableOracle({"Pde$Status": "Miss"}))
+        totals = MuDDExecutor(mudd).run(chained, range(5))
+        assert totals == {"load.causes_walk": 5, "load.pde$_miss": 5}
 
     def test_bad_branch_value_rejected(self):
         mudd = load_bundled_model("pde_initial")

@@ -5,12 +5,15 @@ evaluation. The fixtures here build the expensive shared artefacts once
 per session: the observation dataset (the workload matrix run on the
 simulated Haswell MMU) and the m-series model cones.
 
-After every run that collected timing data, a machine-readable
-``BENCH_results.json`` (benchmark name → median seconds) is written at
-the repository root so the perf trajectory is tracked across PRs: CI
-uploads it as an artifact, and a before/after pair of these files is the
-evidence for any optimisation claim. Set ``BENCH_RESULTS_PATH`` to
-redirect (e.g. to keep a baseline file while re-running).
+After every run that collected timing data, the session's medians
+(benchmark name → median seconds) are merged into a machine-readable
+``BENCH_results.json`` at the repository root, so the perf trajectory is
+tracked across PRs: CI uploads it as an artifact, and a before/after
+pair of these files is the evidence for any optimisation claim. A run of
+one module or a ``-k`` subset replaces only its own entries; the entry
+of a deleted benchmark stays until it is removed by hand. Set
+``BENCH_RESULTS_PATH`` to redirect (e.g. to keep a baseline file while
+re-running).
 """
 
 import json
@@ -22,8 +25,22 @@ from repro.models import M_SERIES, build_model_cone, noisy_dataset, standard_dat
 from repro.pipeline import CounterPoint
 
 
+def merge_results(target, medians):
+    """Write ``medians`` into the JSON file ``target`` over the entries
+    it already holds. A missing or unreadable file starts empty."""
+    try:
+        with open(target) as handle:
+            merged = json.load(handle)
+    except (OSError, ValueError):
+        merged = {}
+    merged.update(medians)
+    with open(target, "w") as handle:
+        json.dump(merged, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def pytest_sessionfinish(session, exitstatus):
-    """Dump ``{benchmark fullname: median seconds}`` for trend tracking."""
+    """Merge ``{benchmark fullname: median seconds}`` into the trend file."""
     benchmark_session = getattr(session.config, "_benchmarksession", None)
     if benchmark_session is None:
         return
@@ -40,9 +57,7 @@ def pytest_sessionfinish(session, exitstatus):
     target = os.environ.get("BENCH_RESULTS_PATH") or os.path.join(
         str(session.config.rootpath), "BENCH_results.json"
     )
-    with open(target, "w") as handle:
-        json.dump(medians, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    merge_results(target, medians)
 
 
 @pytest.fixture(scope="session")

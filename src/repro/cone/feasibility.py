@@ -116,7 +116,9 @@ def _point_feasibility_scipy(model_cone, vector):
     model = model_cone.flow_model()
     if model is not None:
         with tracer.span("lp.solve", backend="highs_fast") as span:
-            status, flows = model.solve([float(value) for value in vector])
+            with model.lock:
+                status, flows = model.solve([float(value) for value in vector])
+                span.set(runs=model.runs, columns=model.width)
             if tracer.enabled:
                 tracer.metrics.histogram("lp.solve_seconds").observe(
                     span.duration

@@ -1,16 +1,46 @@
 """Persistent HiGHS models (the float LP fast path).
 
-``scipy.optimize.linprog`` pays ~1.5 ms of Python wrapper overhead per
-call — an order of magnitude more than HiGHS spends actually solving
-the small feasibility programs CounterPoint issues in its hot loops
-(point feasibility per observation, membership per generator during
-interior removal). Those loops solve the *same* constraint matrix over
-and over with only the right-hand side (and occasionally a column
-bound) changing, which is exactly what the underlying HiGHS incremental
-API is for: build the model once, mutate bounds, re-run from the warm
-basis. A region's support LPs (:class:`SupportModel`) share their rows
-too and change only the objective; they re-run cold, so each answer is
-the one ``linprog`` gives.
+CounterPoint's hot loops solve the *same* constraint matrix over and
+over with only the right-hand side (and occasionally a column bound)
+changing: point feasibility per observation, membership per generator
+during interior removal. That is what the HiGHS incremental API is for:
+build the model once, mutate bounds, re-run from the warm basis, with
+none of ``scipy.optimize.linprog``'s per-call set-up. A region's support
+LPs (:class:`SupportModel`) share their rows too and change only the
+objective; they re-run cold, so each answer is the one ``linprog``
+gives.
+
+A point-membership matrix (the reduced Appendix A system ``S^T f = v``)
+has one row per counter and one column per µpath signature: a Table 5
+cone has 26 rows and 1,800–6,612 columns. A HiGHS run costs time per
+column even when it makes no pivot (0.83 ms at 3,357 columns against
+0.05 ms at 100 on a 2-vCPU host), while a basis needs at most one
+column per row. So :class:`FeasibilityModel` loads a wide matrix a
+subset ``J`` of its columns at a time (delayed column generation:
+Gilmore and Gomory, *Oper. Res.* 1961):
+
+* ``J`` starts at one column per row.
+* If the restricted model is feasible, so is the full one: its flow,
+  padded with zeros, is a flow of the whole matrix.
+* If it is infeasible, HiGHS's dual ray ``y``, signed so that
+  ``y . b > 0``, prices every column in one numpy product. A column
+  outside ``J`` with ``y . A_j > 0`` breaks the ray; up to one per row,
+  the highest priced, join ``J`` and HiGHS re-runs from its warm basis.
+  A ray that no column breaks is a Farkas certificate for the whole
+  matrix, and :meth:`~FeasibilityModel.dual_ray` returns it.
+* Without a usable ray, or on any status but these two, every column
+  still outside ``J`` is loaded and the full model answers. So the
+  model never answers "infeasible" from a subset without a ray that
+  holds for every column.
+
+``J`` persists on the model: a sweep's points share most of their basis
+columns, so each point starts from the columns earlier points needed.
+Over Table 5's 432 points HiGHS runs 473 times; 9 of the 18 cones never
+leave their starting 20 columns, and the others end at 72–165. An
+excluded column is never priced in, so interior removal's pinning
+holds. A matrix with at most :data:`NARROW_COLUMNS_PER_ROW` columns per
+row (the cone of every bundled DSL model) is loaded whole, and each
+solve is one run.
 
 This module talks to the HiGHS bindings that ship *inside* scipy
 (``scipy.optimize._highspy``) — a private interface, so everything here
@@ -24,14 +54,16 @@ LP backend (floating point; exactness is the caller's concern — the
 A HiGHS handle is not thread-safe: two threads re-solving one model at
 once crash the process. Each :class:`FeasibilityModel` therefore carries
 a re-entrant :attr:`~FeasibilityModel.lock`; :meth:`~FeasibilityModel.solve`
-holds it while it rebinds, runs and reads the solution, and callers that
-need several calls to act as one (pin a column, solve, unpin) hold it
-across them.
+holds it while it rebinds, runs, prices and reads the solution, and
+callers that need several calls to act as one (pin a column, solve,
+unpin) hold it across them.
 """
 
 import threading
 
 import numpy as np
+
+from repro.errors import LPError
 
 try:  # scipy-private HiGHS bindings; absence just disables the fast path
     import scipy.optimize._highspy._core as _core
@@ -77,15 +109,30 @@ def _load(matrix, row_lower, row_upper, options=()):
     return solver
 
 
+#: A matrix with at most this many columns per row loads every column:
+#: a restricted model starts at about one column per row and grows by
+#: up to one per row a round, so a narrower matrix has nothing to gain.
+NARROW_COLUMNS_PER_ROW = 4
+
+#: A column breaks a ray normalised to largest entry 1 when its price
+#: (``y . A_j`` over the column's 1-norm) is above this.
+PRICE_TOLERANCE = 1e-9
+
+
 class FeasibilityModel:
     """A persistent HiGHS model for ``A x = b, x >= 0`` feasibility.
 
-    ``A`` (dense ``N x P`` float array) is loaded once; each
+    ``A`` (dense ``N x P`` float array) is given once; each
     :meth:`solve` call rebinds the row bounds to a new ``b`` and re-runs
-    from the previous basis. Columns can be excluded (pinned to zero)
-    and re-included, which the generator interior-removal loop uses to
-    test membership in the cone of "all kept generators but this one"
-    without ever rebuilding the matrix.
+    from the previous basis. A narrow ``A`` (at most
+    :data:`NARROW_COLUMNS_PER_ROW` columns per row) is loaded whole. A
+    wider one is loaded a subset of columns at a time, priced against
+    HiGHS's dual ray (see the module docstring); loaded columns stay
+    loaded for every later solve. Columns can be excluded (pinned to
+    zero) and re-included, which the generator interior-removal loop
+    uses to test membership in the cone of "all kept generators but
+    this one" without ever rebuilding the matrix; an excluded column is
+    never priced in.
 
     Use :func:`make_feasibility_model`, which returns ``None`` when the
     HiGHS bindings are unavailable.
@@ -93,6 +140,8 @@ class FeasibilityModel:
     :attr:`lock` serialises every use of the underlying handle; hold it
     across a sequence of calls that must not interleave with another
     thread's (it is re-entrant, so the calls themselves may take it).
+    :attr:`runs` is how many times HiGHS ran in the last :meth:`solve`,
+    and :attr:`width` how many columns the model holds.
     """
 
     def __init__(self, matrix):
@@ -101,53 +150,170 @@ class FeasibilityModel:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.lock = threading.RLock()
-        self._solver = _load(matrix, np.zeros(n_rows), np.zeros(n_rows))
+        self.runs = 0
+        zeros = np.zeros(n_rows)
+        if n_cols <= NARROW_COLUMNS_PER_ROW * n_rows:
+            self._open = None  # every column loaded; nothing to price
+            self._solver = _load(matrix, zeros, zeros)
+        else:
+            weight = np.abs(matrix).sum(axis=0)
+            weight[weight == 0] = 1.0
+            self._matrix = matrix
+            self._weight = weight
+            # Start from one column per row: the one that puts the
+            # largest share of its weight on that row.
+            start = np.unique(np.argmax(matrix / weight, axis=1))
+            self._columns = start
+            self._position = np.full(n_cols, -1)
+            self._position[start] = np.arange(len(start))
+            # Columns not loaded and not excluded: the ones pricing sees.
+            self._open = np.ones(n_cols, dtype=bool)
+            self._open[start] = False
+            self._solver = _load(matrix[:, start], zeros, zeros)
         self._infinity = self._solver.getInfinity()
+
+    @property
+    def width(self):
+        """How many of the matrix's columns the HiGHS model holds."""
+        return self.n_cols if self._open is None else len(self._columns)
+
+    def _column(self, index):
+        """The HiGHS column of matrix column ``index``, or ``None``
+        when it is not loaded."""
+        if self._open is None:
+            return index
+        position = self._position[index]
+        return None if position < 0 else int(position)
 
     def exclude_column(self, index):
         """Pin variable ``index`` to zero (remove its generator)."""
         with self.lock:
-            self._solver.changeColBounds(index, 0.0, 0.0)
+            if self._open is not None:
+                self._open[index] = False
+            column = self._column(index)
+            if column is not None:
+                self._solver.changeColBounds(column, 0.0, 0.0)
 
     def include_column(self, index):
         """Restore variable ``index`` to ``[0, inf)``."""
         with self.lock:
-            self._solver.changeColBounds(index, 0.0, self._infinity)
+            column = self._column(index)
+            if column is None:
+                self._open[index] = True
+            else:
+                self._solver.changeColBounds(column, 0.0, self._infinity)
 
     def solve(self, rhs, solution=True):
         """Feasibility of ``A x = rhs`` under the current column bounds.
 
         Returns ``(status, values)``: ``status`` is one of
         :data:`OPTIMAL`, :data:`INFEASIBLE`, :data:`UNBOUNDED`,
-        :data:`ERROR`, and ``values`` the primal solution when
-        :data:`OPTIMAL` and ``solution`` is true, else ``None``. Both are
-        read under :attr:`lock`, so the solution is the one this call
-        produced. Membership tests that need only the status pass
-        ``solution=False`` and skip copying one value per column.
+        :data:`ERROR`, and ``values`` the primal solution (one value per
+        matrix column, zero on columns not loaded) when :data:`OPTIMAL`
+        and ``solution`` is true, else ``None``. Both are read under
+        :attr:`lock`, so the solution is the one this call produced.
+        Membership tests that need only the status pass
+        ``solution=False`` and skip copying one value per column. An
+        ``rhs`` whose length is not the row count raises
+        :class:`~repro.errors.LPError`.
         """
+        if len(rhs) != self.n_rows:
+            raise LPError(
+                "right-hand side of length %d for %d rows" % (len(rhs), self.n_rows)
+            )
         with self.lock:
             solver = self._solver
             for row, value in enumerate(rhs):
                 solver.changeRowBounds(row, float(value), float(value))
-            solver.run()
-            status = solver.getModelStatus()
-            if status == _core.HighsModelStatus.kOptimal:
-                if not solution:
-                    return OPTIMAL, None
-                return OPTIMAL, list(solver.getSolution().col_value)
+            self.runs = 0
+            status = self._run()
+            if self._open is not None:
+                status = self._price(rhs, status)
+            if status != OPTIMAL or not solution:
+                return status, None
+            values = solver.getSolution().col_value
+            if self._open is None:
+                return status, list(values)
+            flows = np.zeros(self.n_cols)
+            flows[self._columns] = values
+            return status, flows.tolist()
+
+    def _run(self):
+        """Run HiGHS from the current basis; the model status."""
+        self._solver.run()
+        self.runs += 1
+        status = self._solver.getModelStatus()
+        if status == _core.HighsModelStatus.kOptimal:
+            return OPTIMAL
         if status in (
             _core.HighsModelStatus.kInfeasible,
             _core.HighsModelStatus.kUnboundedOrInfeasible,
         ):
-            return INFEASIBLE, None
+            return INFEASIBLE
         if status == _core.HighsModelStatus.kUnbounded:
-            return UNBOUNDED, None
-        return ERROR, None
+            return UNBOUNDED
+        return ERROR
+
+    def _price(self, rhs, status):
+        """Grow the loaded columns until the restricted model's answer
+        holds for the whole matrix, and return that answer.
+
+        A feasible restricted model is a feasible full one. An
+        infeasible one has a dual ray ``y`` with ``y . rhs > 0``; every
+        open column with a positive price breaks it, and up to one per
+        row, the highest priced, are loaded before the next run. A ray
+        that no open column breaks is a Farkas certificate for the whole
+        matrix. Without a usable ray, or on any other status, every open
+        column is loaded and the full model answers.
+        """
+        rhs = np.array([float(value) for value in rhs])
+        while status != OPTIMAL and self._open.any():
+            columns = None
+            ray = self.dual_ray() if status == INFEASIBLE else None
+            if ray is not None:
+                ray = np.array(ray)
+                ray /= np.abs(ray).max() or 1.0
+                if ray @ rhs < 0:
+                    ray = -ray
+                if ray @ rhs > PRICE_TOLERANCE:
+                    price = (ray @ self._matrix) / self._weight
+                    columns = np.flatnonzero(self._open & (price > PRICE_TOLERANCE))
+                    if not len(columns):
+                        return status
+                    if len(columns) > self.n_rows:
+                        top = np.argpartition(-price[columns], self.n_rows)
+                        columns = np.sort(columns[top[:self.n_rows]])
+            if columns is None:
+                columns = np.flatnonzero(self._open)
+            if not self._add(columns):
+                return ERROR
+            status = self._run()
+        return status
+
+    def _add(self, columns):
+        """Load matrix ``columns`` into the HiGHS model, at ``[0, inf)``;
+        false when HiGHS rejects them."""
+        sparse = _csc_matrix(self._matrix[:, columns])
+        count = len(columns)
+        status = self._solver.addCols(
+            count, np.zeros(count), np.zeros(count), np.full(count, self._infinity),
+            sparse.nnz, sparse.indptr[:-1].astype(np.int32),
+            sparse.indices.astype(np.int32), sparse.data.astype(float),
+        )
+        if status == _core.HighsStatus.kError:
+            return False
+        width = len(self._columns)
+        self._position[columns] = np.arange(width, width + count)
+        self._columns = np.concatenate([self._columns, columns])
+        self._open[columns] = False
+        return True
 
     def dual_ray(self):
         """HiGHS's Farkas ray (one value per row) after an
         :data:`INFEASIBLE` :meth:`solve`, or ``None`` when HiGHS has
         none or the binding's ``getDualRay`` has an unexpected shape.
+        On a column subset it is the ray that no column of the matrix
+        breaks.
 
         Hold :attr:`lock` across the solve and this call when the model
         is shared.

@@ -20,6 +20,11 @@ it in integer arithmetic:
   ``y . g >= 0`` for every generator and ``y . b < 0`` (Farkas' lemma:
   every point of the cone has ``y . x >= 0``).
 
+For a wide generator matrix the float answer comes from a model that
+holds a column subset (:mod:`repro.lp.highs_fast`); neither check
+depends on it, since the flow is solved on its support and the ray is
+checked against every generator.
+
 Anything else falls back to the simplex, which stays the reference: no
 HiGHS bindings, an ``ERROR`` status, no ray, a check that fails, a
 binding that answers in an unexpected shape. Each fallback increments
@@ -36,6 +41,7 @@ cones for the life of the process.
 from fractions import Fraction
 from math import isfinite
 
+from repro.errors import LPError
 from repro.linalg import bareiss_rref, int_dot, int_row
 from repro.lp.problem import EQ, LinearProgram
 from repro.lp.solver import Status, solve
@@ -205,6 +211,11 @@ class MembershipBatch:
     def test(self, point):
         """``(feasible, flows)`` for one rational ``point``;
         see :func:`certified_membership`."""
+        if self.generators and len(point) != len(self.generators[0]):
+            raise LPError(
+                "point of length %d for generators of length %d"
+                % (len(point), len(self.generators[0]))
+            )
         b, scale = _int_point(point)
         if scale is None:
             return True, [Fraction(0)] * len(self.generators)
@@ -218,7 +229,7 @@ class MembershipBatch:
             "lp.solve", backend="exact", method="certified",
             variables=len(self.generators), constraints=len(touched),
         ) as span:
-            feasible, detail = self._certify(model, b, scale)
+            feasible, detail = self._certify(model, b, scale, span)
             if feasible is None:
                 if tracer.enabled:
                     tracer.metrics.counter("lp.certify.fallbacks").inc()
@@ -233,19 +244,27 @@ class MembershipBatch:
                 )
         return feasible, flows
 
-    def _certify(self, model, b, scale):
+    def _certify(self, model, b, scale, span):
         """``(True, flows)`` with exact flows for ``scale * b``,
         ``(False, None)`` for a certified refutation, or ``(None,
-        reason)`` when the float answer could not be proved."""
+        reason)`` when the float answer could not be proved. Sets the
+        ``span``'s ``runs`` (HiGHS runs for this point) and ``columns``
+        (the model's width after it)."""
         from repro.lp import highs_fast
 
         if model is None:
+            span.set(runs=0, columns=0)
             return None, "no model"
         try:
             with model.lock:
                 status, solution = model.solve(b)
                 ray = model.dual_ray() if status == highs_fast.INFEASIBLE \
                     else None
+                # A model that keeps no counts ran once, on every column.
+                span.set(
+                    runs=getattr(model, "runs", 1),
+                    columns=getattr(model, "width", len(self.generators)),
+                )
         except (OverflowError, TypeError, ValueError):
             return None, "unsolvable input"
         if status == highs_fast.OPTIMAL:
@@ -271,15 +290,17 @@ def certified_membership(generators, point, model=None):
     :class:`~fractions.Fraction` list with ``G f = point`` and
     ``f >= 0`` when feasible, else ``None``.
 
-    Before any model is built, the point is scaled to coprime ints
-    (a positive scale does not change membership); the zero point is
-    feasible with zero flows, and a non-zero coordinate that no
-    generator touches is infeasible. Otherwise ``model`` (a
-    :class:`~repro.lp.highs_fast.FeasibilityModel` over the float
-    generator matrix), or one built for this call, answers, and the
-    answer is certified or re-solved by the simplex (see the module
-    docstring). The solve runs in an ``lp.solve`` span with
-    ``backend="exact"`` and ``method="certified"``.
+    A point whose length is not the generators' raises
+    :class:`~repro.errors.LPError`. Before any model is built, the point
+    is scaled to coprime ints (a positive scale does not change
+    membership); the zero point is feasible with zero flows, and a
+    non-zero coordinate that no generator touches is infeasible.
+    Otherwise ``model`` (a :class:`~repro.lp.highs_fast.FeasibilityModel`
+    over the float generator matrix), or one built for this call,
+    answers, and the answer is certified or re-solved by the simplex
+    (see the module docstring). The solve runs in an ``lp.solve`` span
+    with ``backend="exact"`` and ``method="certified"``, and with the
+    model's ``runs`` and ``columns`` for this point.
     """
     return MembershipBatch(generators, model=model).test(point)
 

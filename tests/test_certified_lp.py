@@ -33,6 +33,7 @@ from fractions import Fraction
 import pytest
 
 from repro.cone import ModelCone
+from repro.errors import LPError
 from repro.cone import test_point_feasibility as point_feasibility
 from repro.cone import test_points_feasibility as points_feasibility
 from repro.geometry import Cone
@@ -337,6 +338,36 @@ def test_no_generators():
     assert not point_feasibility(empty, [0, 3]).feasible
     assert Cone([], ambient_dim=2).contains([0, 0])
     assert not Cone([], ambient_dim=2).contains([1, 0])
+
+
+@pytest.mark.parametrize("point", [[1, 1], [1, 1, 0, 0]])
+def test_point_of_wrong_length_is_rejected(point):
+    """A point with more or fewer coordinates than the generators is
+    an error, not a question about another point."""
+    generators = [(1, 0, 0), (0, 1, 0)]
+    with pytest.raises(LPError):
+        certified_membership(generators, point)
+    batch = MembershipBatch(generators)
+    assert batch.test([1, 1, 0])[0]
+    with pytest.raises(LPError):
+        batch.test(point)
+
+
+def test_model_rejects_rhs_of_wrong_length():
+    """A shorter right-hand side would keep the last rows' old bounds;
+    a longer one names rows the model does not have."""
+    import numpy as np
+
+    model = highs_fast.make_feasibility_model(
+        np.array([(1, 0, 0), (0, 1, 0)], dtype=float).T
+    )
+    if model is None:
+        pytest.skip("HiGHS bindings unavailable")
+    assert model.solve([0, 0, 1])[0] == highs_fast.INFEASIBLE
+    for rhs in ([1, 1], [1, 1, 0, 0]):
+        with pytest.raises(LPError):
+            model.solve(rhs)
+    assert model.solve([1, 1, 0])[0] == highs_fast.OPTIMAL
 
 
 # -- fallbacks -----------------------------------------------------------------

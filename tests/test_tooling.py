@@ -438,3 +438,46 @@ class TestCli:
         from repro.cli import main
 
         assert main(["simulate", model_file, "--weight", "garbage"]) == 2
+
+
+class TestBenchResults:
+    """``benchmarks/conftest.py`` merges a session's medians into the
+    trend file, so a partial run keeps every other benchmark's entry."""
+
+    @staticmethod
+    def merge_results():
+        import importlib.util
+        import os
+
+        path = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks", "conftest.py",
+        )
+        spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.merge_results
+
+    def test_partial_run_keeps_other_entries(self, tmp_path):
+        import json
+
+        merge_results = self.merge_results()
+        target = tmp_path / "BENCH_results.json"
+        target.write_text(json.dumps({"a.py::test_a": 1.0, "b.py::test_b": 2.0}))
+        merge_results(str(target), {"b.py::test_b": 3.0, "c.py::test_c": 4.0})
+        assert json.loads(target.read_text()) == {
+            "a.py::test_a": 1.0, "b.py::test_b": 3.0, "c.py::test_c": 4.0,
+        }
+        assert target.read_text().endswith("}\n")
+
+    def test_missing_or_unreadable_file_starts_empty(self, tmp_path):
+        import json
+
+        merge_results = self.merge_results()
+        missing = tmp_path / "missing.json"
+        merge_results(str(missing), {"a.py::test_a": 1.0})
+        assert json.loads(missing.read_text()) == {"a.py::test_a": 1.0}
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"a.py::test_a": 1.')
+        merge_results(str(torn), {"b.py::test_b": 2.0})
+        assert json.loads(torn.read_text()) == {"b.py::test_b": 2.0}

@@ -8,8 +8,9 @@ Given a µDD, this subpackage:
 * tests **feasibility** of point observations and of counter confidence
   regions against the cone with a linear program
   (:func:`test_point_feasibility`, :func:`test_region_feasibility`;
-  Appendix A) — batched with an exact facet pre-screen in
-  :func:`test_points_feasibility`,
+  Appendix A) — batched on one LP model per call in
+  :func:`test_points_feasibility`; a verdict depends only on the cone
+  and the observation,
 * **caches model cones by µDD content** (:mod:`repro.cone.cache`), so
   signature enumeration and constraint deduction run once per model per
   process,

@@ -25,12 +25,13 @@ lies in the cone of the signatures (``S^T f = v, f >= 0``) directly:
   the model cone (or one ``scipy.optimize.linprog`` call), with float
   verdicts.
 
-:func:`test_points_feasibility` is the batched entry point: when the
-model's facet constraints have already been deduced, every observation
-is first screened against them with exact integer dot products — a facet
-violation is an exact refutation certificate, no LP needed — and only
-the survivors run the flow LP, all on one HiGHS model built for the
-call.
+:func:`test_points_feasibility` is the batched entry point: every
+observation runs the same flow LP, on one HiGHS model built for the call
+(``"exact"``) or on the cone's cached model (``"scipy"``). A verdict
+depends only on the cone and the observation, never on what earlier
+calls computed for the cone (deduced constraints included); refutation
+evidence is the caller's to ask for
+(:func:`repro.cone.certificates.separating_constraint`).
 
 Region observations (:func:`test_region_feasibility`) solve the full
 Appendix A LP on the chosen backend; their witnesses are LP output.
@@ -57,20 +58,14 @@ class FeasibilityResult:
     witness:
         When feasible, the counter vector inside both the region and the
         cone.
-    certificate:
-        When infeasibility was established by the facet screen, the
-        violated :class:`~repro.cone.constraints.ModelConstraint` — an
-        exact refutation certificate (no LP was run). ``None`` when the
-        verdict came from an LP.
     """
 
-    __slots__ = ("feasible", "flows", "witness", "certificate")
+    __slots__ = ("feasible", "flows", "witness")
 
-    def __init__(self, feasible, flows=None, witness=None, certificate=None):
+    def __init__(self, feasible, flows=None, witness=None):
         self.feasible = feasible
         self.flows = flows
         self.witness = witness
-        self.certificate = certificate
 
     def __bool__(self):
         return self.feasible
@@ -114,42 +109,24 @@ def _point_feasibility_scipy(model_cone, vector):
 
     tracer = get_tracer()
     model = model_cone.flow_model()
+    rhs = [float(value) for value in vector]
     if model is not None:
         with tracer.span("lp.solve", backend="highs_fast") as span:
             with model.lock:
-                status, flows = model.solve([float(value) for value in vector])
+                status, flows = model.solve(rhs)
                 span.set(runs=model.runs, columns=model.width)
-            if tracer.enabled:
-                tracer.metrics.histogram("lp.solve_seconds").observe(
-                    span.duration
-                )
-        if status == highs_fast.OPTIMAL:
-            return FeasibilityResult(True, flows=flows, witness=list(vector))
-        if status in (highs_fast.INFEASIBLE, highs_fast.UNBOUNDED):
-            return FeasibilityResult(False)
-        raise AnalysisError("HiGHS feasibility solve failed")
-
-    import numpy as np
-    from scipy.optimize import linprog
-
-    matrix = model_cone.signature_array()
-    with tracer.span("lp.solve", backend="scipy") as span:
-        result = linprog(
-            np.zeros(matrix.shape[1]),
-            A_eq=matrix,
-            b_eq=np.asarray([float(value) for value in vector]),
-            bounds=(0, None),
-            method="highs",
-        )
-        if tracer.enabled:
-            tracer.metrics.histogram("lp.solve_seconds").observe(
-                span.duration
+    else:
+        with tracer.span("lp.solve", backend="scipy") as span:
+            status, flows = highs_fast.linprog_feasibility(
+                model_cone.signature_array(), rhs
             )
-    if result.status in (2, 3):
+    if tracer.enabled:
+        tracer.metrics.histogram("lp.solve_seconds").observe(span.duration)
+    if status == highs_fast.OPTIMAL:
+        return FeasibilityResult(True, flows=flows, witness=list(vector))
+    if status in (highs_fast.INFEASIBLE, highs_fast.UNBOUNDED):
         return FeasibilityResult(False)
-    if not result.success:
-        raise AnalysisError("HiGHS feasibility LP failed: %s" % (result.message,))
-    return FeasibilityResult(True, flows=list(result.x), witness=list(vector))
+    raise AnalysisError("HiGHS feasibility solve failed")
 
 
 def test_point_feasibility(model_cone, observation, backend="exact"):
@@ -242,8 +219,8 @@ def test_region_feasibility(model_cone, region, backend="exact"):
         return FeasibilityResult(True, flows=flows, witness=witness)
 
 
-def test_points_feasibility(model_cone, observations, backend="exact", screen="auto"):
-    """Batched point feasibility: facet screen first, LP for survivors.
+def test_points_feasibility(model_cone, observations, backend="exact"):
+    """Batched point feasibility: one flow LP per observation.
 
     Parameters
     ----------
@@ -252,29 +229,16 @@ def test_points_feasibility(model_cone, observations, backend="exact", screen="a
     observations:
         Iterable of counter-name mappings or ordered sequences.
     backend:
-        LP backend for the surviving observations.
-    screen:
-        ``"auto"`` (default) screens against the model's facet halfspaces
-        only when constraint deduction already ran for this cone (the
-        paper's rule that feasibility testing must never *trigger* the
-        exponential deduction); ``"always"`` forces deduction once and
-        screens everything; ``"never"`` disables the screen.
+        ``"exact"`` (certified; one
+        :class:`~repro.lp.membership.MembershipBatch` serves the call)
+        or ``"scipy"`` (the cone's cached HiGHS model).
 
     Returns
     -------
-    list of :class:`FeasibilityResult`, one per observation, in order.
-    Screen-refuted observations carry the violated constraint as an
-    exact ``certificate`` (integer dot products — no LP involved); a
-    screen *pass* is also exact (the H-representation is complete, by
-    Minkowski–Weyl), but survivors still run the flow LP so feasible
-    results carry a flow witness.
+    list of :class:`FeasibilityResult`, one per observation, in order,
+    each the one :func:`test_point_feasibility` returns for it.
     """
-    if screen not in ("auto", "always", "never"):
-        raise AnalysisError("unknown screen mode %r" % (screen,))
     vectors = [model_cone.vector_from_observation(o) for o in observations]
-    constraints = None
-    if screen == "always" or (screen == "auto" and model_cone.has_deduced_constraints()):
-        constraints = model_cone.constraints()
     batch = None
     if backend == "exact":
         from repro.lp.membership import MembershipBatch
@@ -286,19 +250,7 @@ def test_points_feasibility(model_cone, observations, backend="exact", screen="a
     results = []
     for vector in vectors:
         with tracer.span("cell.verdict", mode="point") as span:
-            certificate = None
-            if constraints is not None:
-                for constraint in constraints:
-                    if not constraint.is_satisfied_by(vector):
-                        certificate = constraint
-                        break
-            if certificate is not None:
-                span.set(feasible=False, screened=True)
-                results.append(
-                    FeasibilityResult(False, certificate=certificate)
-                )
-                continue
             result = _point_result(model_cone, vector, backend, batch)
-            span.set(feasible=result.feasible, screened=False)
+            span.set(feasible=result.feasible)
             results.append(result)
     return results

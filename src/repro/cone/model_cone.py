@@ -153,10 +153,11 @@ class ModelCone:
     def has_deduced_constraints(self):
         """Whether constraint deduction already ran for this cone.
 
-        The batched feasibility screen consults this so it never
-        *triggers* the exponential deduction (the paper's Figure 9b cost)
-        just to test points — it screens only when facets are already
-        paid for.
+        The cone cache consults this to write a deduced cone back to
+        disk, so no later process pays the exponential deduction (the
+        paper's Figure 9b cost) for it again. No verdict reads it: a
+        point's verdict and evidence never depend on whether the cone
+        was deduced.
         """
         return self._constraints is not None
 

@@ -31,6 +31,15 @@ class SampleMatrix:
                 "sample matrix has %d columns for %d counters"
                 % (self.samples.shape[1], len(self.counters))
             )
+        # Measured input (perf CSV parses "nan" and "inf" as floats):
+        # no confidence region or LP can use a non-finite count.
+        finite = np.isfinite(self.samples)
+        if not finite.all():
+            row, column = np.argwhere(~finite)[0]
+            raise ConfigurationError(
+                "counter %r has a non-finite sample (%r) in interval row %d"
+                % (self.counters[column], float(self.samples[row, column]), row)
+            )
         self.truth = None if truth is None else np.asarray(truth, dtype=float)
 
     @property

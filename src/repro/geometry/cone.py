@@ -80,30 +80,17 @@ def coordinates_in_basis_many(basis, vectors):
     return results
 
 
-def _membership_scipy(generator_array, point):
-    """Float membership LP straight on ``scipy.optimize.linprog``.
+def _membership(status):
+    """A float membership LP's ``status`` (:mod:`repro.lp.highs_fast`'s
+    vocabulary) as a verdict; exactness is the caller's concern (same
+    contract as the ``"scipy"`` LP backend)."""
+    from repro.lp import highs_fast
 
-    ``generator_array`` is the cached ``N x P`` float matrix (one column
-    per generator). Much faster than building a
-    :class:`~repro.lp.problem.LinearProgram` per query; exactness is the
-    caller's concern (same contract as the ``"scipy"`` LP backend).
-    """
-    import numpy as np
-    from scipy.optimize import linprog
-
-    b_eq = np.asarray([float(value) for value in point])
-    result = linprog(
-        np.zeros(generator_array.shape[1]),
-        A_eq=generator_array,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if result.status == 2:
+    if status == highs_fast.OPTIMAL:
+        return True
+    if status in (highs_fast.INFEASIBLE, highs_fast.UNBOUNDED):
         return False
-    if not result.success:
-        raise GeometryError("HiGHS membership LP failed: %s" % (result.message,))
-    return True
+    raise GeometryError("HiGHS membership LP failed")
 
 
 class Cone:
@@ -275,16 +262,14 @@ class Cone:
             return is_zero_vector(point)
         if backend == "scipy":
             model = self._feasibility_model()
+            rhs = [float(v) for v in point]
             if model is not None:
-                status, _ = model.solve(
-                    [float(v) for v in point], solution=False
+                status, _ = model.solve(rhs, solution=False)
+            else:
+                status, _ = highs_fast.linprog_feasibility(
+                    self._generator_array(), rhs
                 )
-                if status == highs_fast.OPTIMAL:
-                    return True
-                if status in (highs_fast.INFEASIBLE, highs_fast.UNBOUNDED):
-                    return False
-                raise GeometryError("HiGHS membership solve failed")
-            return _membership_scipy(self._generator_array(), point)
+            return _membership(status)
         if backend != "exact":
             raise LPError("unknown LP backend %r" % (backend,))
         from repro.lp.membership import certified_membership
@@ -334,9 +319,9 @@ class Cone:
         with the candidate's column pinned to zero, and removed
         generators simply stay pinned.
         """
-        if backend == "scipy" and len(self.generators) > 1:
-            from repro.lp import highs_fast
+        from repro.lp import highs_fast
 
+        if backend == "scipy" and len(self.generators) > 1:
             model = self._feasibility_model()
             if model is not None:
                 kept_flags = [True] * len(self.generators)
@@ -373,9 +358,9 @@ class Cone:
             if backend == "scipy":
                 import numpy as np
 
-                member = _membership_scipy(
+                member = _membership(highs_fast.linprog_feasibility(
                     np.array(rest, dtype=float).T, candidate
-                )
+                )[0])
             else:
                 from repro.lp.membership import certified_membership
 

@@ -48,9 +48,9 @@ class ConeConstraint:
     def evaluate(self, point):
         """Return ``normal . point`` exactly.
 
-        Integer points take the pure-int fast path (the facet-screen hot
-        loop); floats and other numerics are converted to Fractions, so
-        the result is exact in every case.
+        Integer points take the pure-int fast path (violation checks
+        over every deduced facet); floats and other numerics are
+        converted to Fractions, so the result is exact in every case.
         """
         normal = self.normal
         if len(normal) != len(point):

@@ -151,45 +151,41 @@ class FeasibilityModel:
         self.n_cols = n_cols
         self.lock = threading.RLock()
         self.runs = 0
-        zeros = np.zeros(n_rows)
+        weight = np.abs(matrix).sum(axis=0)
+        weight[weight == 0] = 1.0
+        self._matrix = matrix
+        self._weight = weight
         if n_cols <= NARROW_COLUMNS_PER_ROW * n_rows:
-            self._open = None  # every column loaded; nothing to price
-            self._solver = _load(matrix, zeros, zeros)
+            start = np.arange(n_cols)
         else:
-            weight = np.abs(matrix).sum(axis=0)
-            weight[weight == 0] = 1.0
-            self._matrix = matrix
-            self._weight = weight
             # Start from one column per row: the one that puts the
             # largest share of its weight on that row.
             start = np.unique(np.argmax(matrix / weight, axis=1))
-            self._columns = start
-            self._position = np.full(n_cols, -1)
-            self._position[start] = np.arange(len(start))
-            # Columns not loaded and not excluded: the ones pricing sees.
-            self._open = np.ones(n_cols, dtype=bool)
-            self._open[start] = False
-            self._solver = _load(matrix[:, start], zeros, zeros)
+        self._columns = start
+        self._position = np.full(n_cols, -1)
+        self._position[start] = np.arange(len(start))
+        # Columns not loaded and not excluded: the ones pricing sees.
+        self._open = np.ones(n_cols, dtype=bool)
+        self._open[start] = False
+        zeros = np.zeros(n_rows)
+        self._solver = _load(matrix[:, start], zeros, zeros)
         self._infinity = self._solver.getInfinity()
 
     @property
     def width(self):
         """How many of the matrix's columns the HiGHS model holds."""
-        return self.n_cols if self._open is None else len(self._columns)
+        return len(self._columns)
 
     def _column(self, index):
         """The HiGHS column of matrix column ``index``, or ``None``
         when it is not loaded."""
-        if self._open is None:
-            return index
         position = self._position[index]
         return None if position < 0 else int(position)
 
     def exclude_column(self, index):
         """Pin variable ``index`` to zero (remove its generator)."""
         with self.lock:
-            if self._open is not None:
-                self._open[index] = False
+            self._open[index] = False
             column = self._column(index)
             if column is not None:
                 self._solver.changeColBounds(column, 0.0, 0.0)
@@ -226,16 +222,11 @@ class FeasibilityModel:
             for row, value in enumerate(rhs):
                 solver.changeRowBounds(row, float(value), float(value))
             self.runs = 0
-            status = self._run()
-            if self._open is not None:
-                status = self._price(rhs, status)
+            status = self._price(rhs, self._run())
             if status != OPTIMAL or not solution:
                 return status, None
-            values = solver.getSolution().col_value
-            if self._open is None:
-                return status, list(values)
             flows = np.zeros(self.n_cols)
-            flows[self._columns] = values
+            flows[self._columns] = solver.getSolution().col_value
             return status, flows.tolist()
 
     def _run(self):
@@ -266,6 +257,8 @@ class FeasibilityModel:
         matrix. Without a usable ray, or on any other status, every open
         column is loaded and the full model answers.
         """
+        if status == OPTIMAL or not self._open.any():
+            return status
         rhs = np.array([float(value) for value in rhs])
         while status != OPTIMAL and self._open.any():
             columns = None
@@ -339,6 +332,33 @@ def make_feasibility_model(matrix):
         return FeasibilityModel(matrix)
     except Exception:  # pragma: no cover - binding-surface drift
         return None
+
+
+#: ``scipy.optimize.linprog`` status codes in this module's vocabulary;
+#: any other code (iteration limit, numerical trouble) is :data:`ERROR`.
+_LINPROG_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def linprog_feasibility(matrix, rhs):
+    """Feasibility of ``matrix x = rhs, x >= 0`` in one
+    ``scipy.optimize.linprog`` call: the fallback when
+    :func:`make_feasibility_model` returns ``None``.
+
+    Returns ``(status, values)`` as :meth:`FeasibilityModel.solve` does:
+    ``values`` is the primal solution (one value per column) when
+    :data:`OPTIMAL`, else ``None``.
+    """
+    from scipy.optimize import linprog
+
+    result = linprog(
+        np.zeros(matrix.shape[1]),
+        A_eq=matrix,
+        b_eq=np.asarray([float(value) for value in rhs]),
+        bounds=(0, None),
+        method="highs",
+    )
+    status = _LINPROG_STATUS.get(result.status, ERROR)
+    return status, list(result.x) if status == OPTIMAL else None
 
 
 #: ``linprog``'s residual tolerance: ``sqrt(tol) * 10`` for its ``tol`` of 1e-9.
@@ -426,6 +446,7 @@ __all__ = [
     "SupportModel",
     "UNBOUNDED",
     "highs_available",
+    "linprog_feasibility",
     "make_feasibility_model",
     "make_support_model",
 ]

@@ -86,13 +86,14 @@ def run_verdict_chunk(payload):
 
     Runs the exact function the serial path runs
     (:func:`repro.results.session.compute_cell_verdicts`), so chunk
-    boundaries cannot change verdicts; point chunks keep the batched
-    facet screen intact.
+    boundaries cannot change verdicts: each one depends only on the
+    cone and its target.
 
-    When the dispatching parent was tracing (``payload["trace"]``), the
-    chunk runs under a worker-local tracer and the result wraps the
-    verdicts together with the recorded spans/metrics for the parent to
-    absorb; otherwise the historic bare-list shape is returned.
+    Returns ``{"verdicts": [...], "obs": shipment}``. When the
+    dispatching parent was tracing (``payload["trace"]``), the chunk
+    runs under a worker-local tracer and ``shipment`` carries the
+    recorded spans/metrics for the parent to absorb; otherwise it is
+    ``None``.
     """
     from repro.obs.trace import activate
     from repro.results.session import compute_cell_verdicts
@@ -106,10 +107,10 @@ def run_verdict_chunk(payload):
             use_regions=payload["use_regions"],
             explain=payload["explain"],
         )
-    entries = [verdict.to_dict() for verdict in verdicts]
-    if tracer.enabled:
-        return {"verdicts": entries, "obs": _obs_shipment(tracer)}
-    return entries
+    return {
+        "verdicts": [verdict.to_dict() for verdict in verdicts],
+        "obs": _obs_shipment(tracer),
+    }
 
 
 def dispatch_verdicts(runner, cone, targets, backend="exact",
@@ -139,10 +140,8 @@ def dispatch_verdicts(runner, cone, targets, backend="exact",
     ]
     verdicts = []
     for chunk in runner.map_cells(run_verdict_chunk, cells, chunk_size=1):
-        if isinstance(chunk, dict):
-            _absorb_obs(chunk.get("obs"))
-            chunk = chunk["verdicts"]
-        verdicts.extend(CellVerdict.from_dict(entry) for entry in chunk)
+        _absorb_obs(chunk["obs"])
+        verdicts.extend(CellVerdict.from_dict(entry) for entry in chunk["verdicts"])
     return verdicts
 
 
@@ -152,9 +151,9 @@ def run_simulate_chunk(payload):
     """Worker: simulate a contiguous run-index chunk of one dataset,
     reproducing the serial per-run seeds and observation names.
 
-    When the dispatching parent was tracing, returns
-    ``{"observations": [...], "obs": shipment}`` instead of the bare
-    list so the worker's spans ride back with the data.
+    Returns ``{"observations": [...], "obs": shipment}``; the shipment
+    carries the worker's spans when the dispatching parent was tracing,
+    and is ``None`` otherwise.
     """
     from repro.obs.trace import activate
     from repro.sim.scenarios import simulate_observation
@@ -173,9 +172,7 @@ def run_simulate_chunk(payload):
             )
             for run in payload["runs"]
         ]
-    if tracer.enabled:
-        return {"observations": observations, "obs": _obs_shipment(tracer)}
-    return observations
+    return {"observations": observations, "obs": _obs_shipment(tracer)}
 
 
 def parallel_simulate_dataset(runner, model, n_observations, n_uops=20000,
@@ -204,10 +201,8 @@ def parallel_simulate_dataset(runner, model, n_observations, n_uops=20000,
     ]
     observations = []
     for chunk in runner.map_cells(run_simulate_chunk, cells, chunk_size=1):
-        if isinstance(chunk, dict):
-            _absorb_obs(chunk.get("obs"))
-            chunk = chunk["observations"]
-        observations.extend(chunk)
+        _absorb_obs(chunk["obs"])
+        observations.extend(chunk["observations"])
     return tuple(observations)
 
 

@@ -250,16 +250,15 @@ class CounterPoint:
             covariance (the paper's Section 4 estimator) or the
             independent-counter baseline.
         explain:
-            Guarantee refutation evidence (one violated model
-            constraint) for every infeasible observation, via the
-            Farkas certificate LP when the free facet-screen
-            certificate is unavailable.
+            Record refutation evidence (one violated model constraint,
+            found by the Farkas certificate LP) for every infeasible
+            observation. Without it, ``why`` is empty.
 
         Returns a :class:`~repro.results.ModelSweep` naming the
         infeasible observations in dataset order, with per-observation
-        refutation evidence in ``why``. Verdicts are memoized by
-        content: re-sweeping a grown dataset only tests the new
-        observations. With ``workers > 1`` the pending cells are
+        refutation evidence in ``why`` under ``explain``. Verdicts are
+        memoized by content: re-sweeping a grown dataset only tests the
+        new observations. With ``workers > 1`` the pending cells are
         sharded across the process pool (identical results). The call
         is a one-op plan over :meth:`plan_engine`.
         """

@@ -93,20 +93,22 @@ class SessionStats:
         )
 
 
-def _certificate_violation(cone, point, result, backend, explain, definite):
-    """Refutation evidence for an infeasible cell.
+def _separating(cone, point, backend):
+    """One constraint of ``cone`` that ``point`` violates, by the Farkas
+    route (:func:`repro.cone.certificates.separating_constraint`) at
+    feasibility-test cost — never by the exponential full deduction —
+    or ``None`` when that route fails."""
+    try:
+        return separating_constraint(cone, point, backend=backend)
+    except ReproError:
+        return None
 
-    The batched facet screen's certificate is free when present; with
-    ``explain`` a missing certificate is filled in by the Farkas route
-    (:func:`repro.cone.certificates.separating_constraint`) at
-    feasibility-test cost — never by the exponential full deduction.
-    """
-    constraint = result.certificate
-    if constraint is None and explain:
-        try:
-            constraint = separating_constraint(cone, point, backend=backend)
-        except ReproError:
-            constraint = None
+
+def _certificate_violation(cone, point, backend, explain, definite):
+    """Refutation evidence for an infeasible cell: with ``explain``, the
+    violated constraint :func:`_separating` finds; without, ``None``.
+    Either way it depends only on the cone and the point."""
+    constraint = _separating(cone, point, backend) if explain else None
     if constraint is None:
         return None
     margin = constraint.evaluate(cone.vector_from_observation(point))
@@ -121,9 +123,14 @@ def compute_cell_verdicts(cone, targets, backend="exact", use_regions=False,
 
     This is the one function both the serial path and the pool workers
     run, which is what makes ``workers=N`` results bit-for-bit equal to
-    serial ones. Point batches keep the exact facet screen's batching;
-    region cells run the Appendix A region LP. ``explain`` guarantees a
-    violated-constraint record for every infeasible cell.
+    serial ones. Point batches run the flow LP on one batch
+    (:func:`~repro.cone.feasibility.test_points_feasibility`); region
+    cells run the Appendix A region LP. ``explain`` guarantees a
+    violated-constraint record for every infeasible cell; without it
+    no cell carries one. A verdict depends only on the cone and the
+    target, never on what earlier calls left on the cone (deduced
+    constraints included), so the bytes the session stores under a
+    content key are the same whoever computes them first.
     """
     verdicts = []
     if use_regions:
@@ -136,8 +143,7 @@ def compute_cell_verdicts(cone, targets, backend="exact", use_regions=False,
                 # the region), so a point certificate at the centre is
                 # valid evidence — flagged at-mean, not definite.
                 violation = _certificate_violation(
-                    cone, target.center(), result, backend, explain,
-                    definite=False,
+                    cone, target.center(), backend, explain, definite=False,
                 )
                 verdicts.append(CellVerdict(False, violation))
     else:
@@ -147,7 +153,7 @@ def compute_cell_verdicts(cone, targets, backend="exact", use_regions=False,
                 verdicts.append(CellVerdict(True))
             else:
                 violation = _certificate_violation(
-                    cone, target, result, backend, explain, definite=True,
+                    cone, target, backend, explain, definite=True,
                 )
                 verdicts.append(CellVerdict(False, violation))
     return verdicts
@@ -279,8 +285,8 @@ class AnalysisSession:
         answered by this session — or by any earlier run sharing the
         store — are served from the memo. Returns a
         :class:`~repro.results.types.ModelSweep` whose ``why`` carries
-        refutation evidence (guaranteed per infeasible cell with
-        ``explain``, best-effort otherwise).
+        refutation evidence for each infeasible cell with ``explain``,
+        and none without.
 
         ``compute`` overrides how the pending batch is solved — a
         callable ``(cone, targets, use_regions, explain) -> verdicts``.
@@ -482,21 +488,17 @@ class AnalysisSession:
                 cone, [observation], backend=pipeline.backend
             )[0]
         violations = []
-        certificate = result.certificate
+        certificate = None
         if not result.feasible:
             violations = identify_violations(
                 cone, observation, backend=pipeline.backend
             )
-            if certificate is None and explain:
-                try:
-                    point = (
-                        observation.center() if is_region else observation
-                    )
-                    certificate = separating_constraint(
-                        cone, point, backend=pipeline.backend
-                    )
-                except ReproError:
-                    certificate = None
+            if explain:
+                certificate = _separating(
+                    cone,
+                    observation.center() if is_region else observation,
+                    pipeline.backend,
+                )
         report = AnalysisReport(
             cone.name,
             result.feasible,

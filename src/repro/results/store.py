@@ -39,9 +39,12 @@ import time
 from repro.errors import AnalysisError
 from repro.obs.trace import get_tracer
 
-#: Bump when the envelope layout changes incompatibly; entries carrying
-#: any other stamp are treated as misses and recomputed.
-ARTIFACT_FORMAT_VERSION = 1
+#: Bump when the envelope layout or the meaning of a stored payload
+#: changes; entries carrying any other stamp are treated as misses and
+#: recomputed. 2: a verdict's or report's refutation evidence depends
+#: only on its content key (version 1 entries could carry a facet the
+#: cone's earlier history happened to deduce).
+ARTIFACT_FORMAT_VERSION = 2
 
 _ENTRY_SUFFIX = ".json"
 _CLAIM_SUFFIX = ".claim"

@@ -208,14 +208,13 @@ class BatchResult:
         means = self.totals.mean(axis=0)
         return {name: float(value) for name, value in zip(self.counters, means)}
 
-    def feasibility(self, model_cone, backend="exact", screen="auto"):
+    def feasibility(self, model_cone, backend="exact"):
         """Test every trace's totals against ``model_cone`` in one batch.
 
         Routed through
-        :func:`repro.cone.feasibility.test_points_feasibility`: when the
-        cone's facets are already deduced, traces are screened with
-        exact integer dot products and only the survivors run the flow
-        LP — the fast path for scenario sweeps that pit one model's
+        :func:`repro.cone.feasibility.test_points_feasibility`: every
+        trace runs the flow LP, and on ``"exact"`` one HiGHS model serves
+        the batch — the path for scenario sweeps that pit one model's
         synthetic traces against another's cone. Returns a list of
         :class:`~repro.cone.feasibility.FeasibilityResult`, one per
         trace.
@@ -223,7 +222,7 @@ class BatchResult:
         from repro.cone import test_points_feasibility
 
         return test_points_feasibility(
-            model_cone, self.observations(), backend=backend, screen=screen
+            model_cone, self.observations(), backend=backend
         )
 
     def __repr__(self):

@@ -423,6 +423,15 @@ def test_highs_unavailable(monkeypatch):
         results = points_feasibility(cone, [INSIDE, OUTSIDE, [0, 0, 0]])
     assert [result.feasible for result in results] == [True, False, True]
     assert fallbacks(tracer) == 2
+    # The float route answers on one linprog call per point.
+    results = points_feasibility(
+        ModelCone(["a", "b", "c"], TRIANGLE), [INSIDE, OUTSIDE], backend="scipy"
+    )
+    assert [result.feasible for result in results] == [True, False]
+    assert results[0].flows is not None
+    triangle = Cone(TRIANGLE)
+    assert triangle.contains(INSIDE, backend="scipy")
+    assert not triangle.contains(OUTSIDE, backend="scipy")
 
 
 @pytest.mark.parametrize("status", [

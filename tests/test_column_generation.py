@@ -315,7 +315,7 @@ def test_table5_verdicts_match_linprog():
         name = "t%d" % index
         cone = build_model_cone(M_SERIES["m4"], trigger=T_SERIES[name])
         vectors = [cone.vector_from_observation(o.point()) for o in dataset]
-        results = points_feasibility(cone, vectors, backend="scipy", screen="never")
+        results = points_feasibility(cone, vectors, backend="scipy")
         matrix = cone.signature_array()
         for vector, result in zip(vectors, results):
             expected = linprog(

@@ -219,8 +219,8 @@ class TestCounterPointCaching:
         cone_a = cp.model_cone(build_pde())
         cone_b = cp.model_cone(build_pde())
         assert cone_a is cone_b
-        # Constraint deduction runs once: an infeasible analyze deduces,
-        # a second analyze reuses the deduced facets for screening.
+        # An infeasible analyze deduces the cone's constraints (for its
+        # violation list), and the shared cone keeps them.
         report = cp.analyze(build_pde(), {"causes_walk": 1, "pde_miss": 2})
         assert not report.feasible and report.violations
         assert cp.model_cone(build_pde()).has_deduced_constraints()
@@ -287,7 +287,5 @@ class TestBatchFeasibilityWiring:
         cone = ModelCone.from_mudd(
             stingy, counters=["causes_walk", "pde_miss"]
         )
-        cone.constraints()  # deduce once -> screen refutes with certificates
         verdicts = result.feasibility(cone)
         assert all(not v.feasible for v in verdicts)
-        assert any(v.certificate is not None for v in verdicts)

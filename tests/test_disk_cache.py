@@ -369,7 +369,7 @@ def _aligned_points(models, counters, n=2):
 
 def _verdicts(cone, points):
     return [
-        (result.feasible, result.certificate, result.flows, result.witness)
+        (result.feasible, result.flows, result.witness)
         for result in points_feasibility(cone, points)
     ]
 

@@ -1,7 +1,7 @@
 """Equivalence tests: integer fast paths vs the Fraction reference.
 
 The exact-geometry fast path (gcd-normalised int rows, Bareiss
-elimination, bitset adjacency, facet screening) must be *bit-for-bit*
+elimination, bitset adjacency, batched point LPs) must be *bit-for-bit*
 interchangeable with the Fraction/rank reference implementations — an
 optimisation that changes any verdict is a bug, full stop. These tests
 drive both paths over hundreds of seeded random instances (plus a few
@@ -10,8 +10,8 @@ hypothesis sweeps) and require identical results:
 * ``rank`` / ``rref_fast`` / ``solve`` against the Fraction RREF,
 * ``extreme_rays(adjacency="bitset")`` against
   ``extreme_rays(adjacency="algebraic")``,
-* batched ``test_points_feasibility`` (facet screen + LP) against
-  per-point ``test_point_feasibility``.
+* batched ``test_points_feasibility`` against per-point
+  ``test_point_feasibility``, and against the deduced facets.
 """
 
 import random
@@ -191,7 +191,7 @@ def random_points(rng, n, count=3):
 
 
 class TestBatchedFeasibilityEquivalence:
-    def test_screen_plus_lp_agrees_with_per_point(self):
+    def test_batched_matches_per_point(self):
         rng = random.Random(24680)
         for _ in range(N_SEEDS):
             cone = random_model_cone(rng)
@@ -199,47 +199,34 @@ class TestBatchedFeasibilityEquivalence:
             expected = [
                 point_feasibility(cone, point).feasible for point in points
             ]
-            for screen in ("never", "always", "auto"):
-                batched = points_feasibility(cone, points, screen=screen)
-                assert [r.feasible for r in batched] == expected, (
-                    cone.signatures,
-                    points,
-                    screen,
-                )
+            batched = points_feasibility(cone, points)
+            assert [r.feasible for r in batched] == expected, (
+                cone.signatures,
+                points,
+            )
 
-    def test_screen_refutations_carry_certificates(self):
+    def test_verdicts_ignore_deduction(self):
+        """Batched results are the same before and after the cone's
+        constraints are deduced, and a point is infeasible exactly when
+        it violates a deduced facet (Minkowski–Weyl)."""
         rng = random.Random(13579)
-        found_certificate = False
         for _ in range(N_SEEDS):
             cone = random_model_cone(rng)
             points = random_points(rng, len(cone.counters))
-            for point, result in zip(
-                points, points_feasibility(cone, points, screen="always")
-            ):
-                if result.certificate is None:
-                    continue
-                found_certificate = True
-                # The certificate is an exact witness: the point really
-                # violates this deduced model constraint, and the exact
-                # LP agrees the point is infeasible.
-                assert not result.feasible
-                assert not result.certificate.is_satisfied_by(
-                    [Fraction(value) for value in point]
+            before = points_feasibility(cone, points)
+            constraints = cone.constraints()
+            after = points_feasibility(cone, points)
+            for point, first, second in zip(points, before, after):
+                assert (first.feasible, first.flows, first.witness) == (
+                    second.feasible, second.flows, second.witness
+                ), (cone.signatures, point)
+                violated = any(
+                    not constraint.is_satisfied_by(
+                        [Fraction(value) for value in point]
+                    )
+                    for constraint in constraints
                 )
-                assert not point_feasibility(cone, point).feasible
-        assert found_certificate
-
-    def test_auto_screen_only_after_deduction(self):
-        cone = ModelCone(["a", "b"], [(1, 0), (1, 1)])
-        assert not cone.has_deduced_constraints()
-        results = points_feasibility(cone, [[1, 2]], screen="auto")
-        assert not results[0].feasible
-        assert results[0].certificate is None  # no deduction: LP verdict
-        cone.constraints()
-        assert cone.has_deduced_constraints()
-        results = points_feasibility(cone, [[1, 2]], screen="auto")
-        assert not results[0].feasible
-        assert results[0].certificate is not None  # screened this time
+                assert violated == (not first.feasible), (cone.signatures, point)
 
     def test_scipy_backend_agrees_on_integer_points(self):
         rng = random.Random(112358)

@@ -72,6 +72,16 @@ class TestPerfCsvParsing:
         with pytest.raises(ConfigurationError):
             parse_perf_csv("1.0,5,,dtlb_load_misses.stlb_hit,1,1\n")
 
+    @pytest.mark.parametrize("count", ["nan", "inf"])
+    def test_non_finite_count_rejected(self, count):
+        text = PERF_CSV.replace(
+            "2.000200000,44,", "2.000200000,%s," % count
+        )
+        with pytest.raises(ConfigurationError) as info:
+            parse_perf_csv(text)
+        assert "'load.pde$_miss'" in str(info.value)
+        assert "interval row 1" in str(info.value)
+
     def test_roundtrip(self, tmp_path):
         original = SampleMatrix(
             ["load.causes_walk", "load.pde$_miss"],

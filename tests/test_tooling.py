@@ -311,6 +311,21 @@ class TestCli:
         assert code == 0
         assert "FEASIBLE" in capsys.readouterr().out
 
+    def test_analyze_perf_csv_non_finite_count(self, model_file, tmp_path, capsys):
+        from repro.cli import main
+
+        csv_path = tmp_path / "perf.csv"
+        lines = []
+        for index in range(1, 5):
+            count = "nan" if index == 1 else str(40 + index)
+            lines.append("%d.0,%d,,dtlb_load_misses.miss_causes_a_walk,1,1" % (index, 100 + index))
+            lines.append("%d.0,%s,,dtlb_load_misses.pde_cache_miss,1,1" % (index, count))
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(["analyze", model_file, "--perf-csv", str(csv_path)])
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and "load.pde$_miss" in error
+
     def test_render_command(self, model_file, tmp_path, capsys):
         from repro.cli import main
 

@@ -180,8 +180,7 @@ def cmd_analyze(arguments):
             )
             missing = [name for name in cone.counters if name not in samples.counters]
             if missing:
-                print("error: CSV lacks model counters: %s" % ", ".join(missing))
-                return 2
+                raise ReproError("CSV lacks model counters: %s" % ", ".join(missing))
             observation = samples.subset(cone.counters).confidence_region(
                 confidence=arguments.confidence,
                 correlated=not arguments.independent,

@@ -533,15 +533,15 @@ class PlanEngine:
                 from repro.models.dataset import project_observations
 
                 observations = project_observations(observations, cone)
-            for plan_key, observation in zip(unit.cell_keys, observations):
+            known = session.has_verdicts(
+                cone, observations, unit.use_regions, unit.correlated,
+                unit.explain,
+            )
+            for plan_key, hit in zip(unit.cell_keys, known):
                 if plan_key in probed:
                     continue
                 probed.add(plan_key)
-                if session.has_verdict(
-                    cone, observation, unit.use_regions, unit.correlated,
-                    unit.explain,
-                ):
-                    known_hits += 1
+                known_hits += hit
 
         ops = []
         for op_id in compiled.op_order:

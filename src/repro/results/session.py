@@ -6,27 +6,39 @@ re-analyzes the same growing matrix after each addition: append one
 observation to a 1000-cell sweep, or one candidate model to a
 cross-refutation matrix, and a recompute-everything pipeline pays the
 full matrix again. :class:`AnalysisSession` memoizes each cell verdict
-under a content-addressed key::
+under a content-addressed key in two parts::
 
-    (cone fingerprint, observation content hash, backend, mode)
+    page: (cone fingerprint, backend, mode, explain)
+    cell: observation content hash
 
-in memory, and — when given a store — through a persistent
-:class:`~repro.results.store.ArtifactStore` tier, so only genuinely new
-cells are ever tested. The keys are pure content hashes (no model or
-run names), so renamed models and re-measured-but-identical data still
-hit.
+(a region's mode includes its confidence and ``correlated``). The memo
+keys a cell by ``(page key, cell)``; with a store, every cell of a page
+lives in one :class:`~repro.results.store.ArtifactStore` entry of kind
+``verdict`` that maps cell hashes to :class:`CellVerdict` payloads. A
+sweep unit reads its page at most once, and only when some cell misses
+the memo, and publishes each computed batch with one
+:meth:`~repro.results.store.ArtifactStore.merge` into the page as it is
+on disk, so threads sharing a session lose no cell; two processes
+merging into one page at once can drop each other's new cells, which
+are then recomputed, never answered wrongly. A page that does not
+decode in full, or carries a store version other than 3 (version 2
+stored one entry per cell), is one miss, and its cells are recomputed.
+The keys are pure content hashes (no model or run names), so renamed
+models and re-measured-but-identical data still hit, across processes
+and runs.
 
 The session holds the two memoized units the plan engine
 (:mod:`repro.plan.engine`) schedules: :meth:`AnalysisSession.sweep`
 (one model over a dataset, cell by cell) and
-:meth:`AnalysisSession.analyze` (one whole report). Every matrix-shaped
-workload — ``compare``, ``cross_refute``, whole plans — is assembled
-from them by the engine. :class:`~repro.pipeline.CounterPoint` owns a
-session per instance; sessions can also be built standalone around any
-pipeline. A session computes pending cells in-process unless its
-caller hands it a ``compute`` hook: the engine passes its scheduler's,
-which is how ``workers > 1`` shards only the *pending* cells across the
-process pool.
+:meth:`AnalysisSession.analyze` (one whole report, one entry per
+report). Every matrix-shaped workload — ``compare``, ``cross_refute``,
+whole plans — is assembled from them by the engine.
+:class:`~repro.pipeline.CounterPoint` owns a session per instance;
+sessions can also be built standalone around any pipeline. A session
+computes pending cells in-process unless its caller hands it a
+``compute`` hook: the engine passes its scheduler's, which is how
+``workers > 1`` shards only the *pending* cells across the process
+pool.
 """
 
 import os
@@ -117,6 +129,12 @@ def _certificate_violation(cone, point, backend, explain, definite):
     return Violation(constraint, margin, definite=definite)
 
 
+def _decode_page(payload):
+    """A verdict page's cells, ``{cell hash: CellVerdict}``, decoded in
+    full: any member that does not decode makes the whole page fail."""
+    return {cell: CellVerdict.from_dict(entry) for cell, entry in payload.items()}
+
+
 def compute_cell_verdicts(cone, targets, backend="exact", use_regions=False,
                           explain=False):
     """Compute the verdicts of a batch of cells (no memo involved).
@@ -204,25 +222,27 @@ class AnalysisSession:
         self.claims = None
 
     # -- memo plumbing -----------------------------------------------------
-    def _cell_key(self, cone, observation, use_regions, correlated, explain,
-                  fingerprint=observation_fingerprint):
+    def _page_key(self, cone, use_regions, correlated, explain):
+        """The key every cell of one sweep unit shares."""
         if use_regions:
             return content_key(
                 "region",
                 cone.fingerprint(),
-                fingerprint(observation, samples=True),
                 self.pipeline.backend,
                 repr(float(self.pipeline.confidence)),
                 bool(correlated),
                 bool(explain),
             )
         return content_key(
-            "point",
-            cone.fingerprint(),
-            fingerprint(observation),
-            self.pipeline.backend,
-            bool(explain),
+            "point", cone.fingerprint(), self.pipeline.backend, bool(explain),
         )
+
+    @staticmethod
+    def _cell(observation, use_regions, fingerprint=observation_fingerprint):
+        """An observation's cell within its page: its content hash."""
+        if use_regions:
+            return fingerprint(observation, samples=True)
+        return fingerprint(observation)
 
     def _count(self, tally, name, amount=1, event=None):
         """Add ``amount`` to the session counter ``name`` and, when the
@@ -238,37 +258,57 @@ class AnalysisSession:
                 tracer.event(event)
             tracer.metrics.counter("session." + name).inc(amount)
 
-    def _lookup(self, key, tally=None):
-        verdict = self._memo.get(key)
-        if verdict is not None:
-            self._count(tally, "memo_hits", event="session.memo_hit")
-            return verdict
-        if self.store is not None:
-            verdict = self.store.get(
-                "verdict", key, decode=CellVerdict.from_dict
-            )
+    def _lookup(self, page, cells, indices, verdicts, tally):
+        """Answer ``verdicts[index]`` for each of ``indices`` from the
+        memo, else from the page, read at most once and only on a memo
+        miss. Returns the indices left unanswered."""
+        stored = None
+        missing = []
+        for index in indices:
+            key = (page, cells[index])
+            verdict = self._memo.get(key)
             if verdict is not None:
+                self._count(tally, "memo_hits", event="session.memo_hit")
+            else:
+                if stored is None:
+                    stored = {} if self.store is None else self.store.get(
+                        "verdict", page, decode=_decode_page
+                    ) or {}
+                verdict = stored.get(cells[index])
+                if verdict is None:
+                    missing.append(index)
+                    continue
                 self._memo[key] = verdict
                 self._count(tally, "store_hits", event="session.store_hit")
-                return verdict
-        return None
+            verdicts[index] = verdict
+        return missing
 
-    def has_verdict(self, cone, observation, use_regions=False,
-                    correlated=True, explain=False):
-        """Whether :meth:`sweep` would answer this cell without
-        computing it: from the memo, or from a store entry that
-        decodes. No statistics, recency or files change."""
-        key = self._cell_key(cone, observation, use_regions, correlated, explain)
-        if key in self._memo:
-            return True
-        return self.store is not None and self.store.contains(
-            "verdict", key, decode=CellVerdict.from_dict
-        )
+    def has_verdicts(self, cone, observations, use_regions=False,
+                     correlated=True, explain=False):
+        """Whether :meth:`sweep` would answer each of ``observations``
+        without computing it: from the memo, or from a page that decodes
+        in full and holds the cell. The page is read at most once; no
+        statistics, recency or files change."""
+        page = self._page_key(cone, use_regions, correlated, explain)
+        cells = [self._cell(observation, use_regions) for observation in observations]
+        stored = {}
+        if self.store is not None and any(
+            (page, cell) not in self._memo for cell in cells
+        ):
+            stored = self.store.peek("verdict", page, decode=_decode_page) or {}
+        return [(page, cell) in self._memo or cell in stored for cell in cells]
 
-    def _record(self, key, verdict):
-        self._memo[key] = verdict
+    def _record(self, page, computed):
+        """Memoize ``(cell, verdict)`` pairs of one page and publish them
+        with one write."""
+        for cell, verdict in computed:
+            self._memo[(page, cell)] = verdict
         if self.store is not None:
-            self.store.put("verdict", key, verdict.to_dict())
+            self.store.merge(
+                "verdict", page,
+                {cell: verdict.to_dict() for cell, verdict in computed},
+                decode=_decode_page,
+            )
 
     def forget(self):
         """Drop the in-memory memo (the store, if any, is untouched)."""
@@ -313,50 +353,44 @@ class AnalysisSession:
                 getattr(observation, "name", "obs%d" % index)
                 for index, observation in enumerate(observations)
             ]
+            page = self._page_key(cone, use_regions, correlated, explain)
+            cells = [
+                self._cell(observation, use_regions, fingerprint)
+                for observation in observations
+            ]
             verdicts = [None] * len(observations)
-            pending = []
-            for index, observation in enumerate(observations):
-                key = self._cell_key(
-                    cone, observation, use_regions, correlated, explain,
-                    fingerprint,
-                )
-                verdict = self._lookup(key, tally)
-                if verdict is None:
-                    pending.append((index, key))
-                else:
-                    verdicts[index] = verdict
+            pending = self._lookup(
+                page, cells, range(len(cells)), verdicts, tally
+            )
             span.set(cells=len(observations), pending=len(pending))
             if pending:
-                if compute is None:
-                    compute = self._compute
+                solve = compute or self._compute
+
+                def compute_pending(indices):
+                    """Solve, count and record the cells at ``indices``."""
+                    targets = [
+                        self._target(observations[index], use_regions, correlated)
+                        for index in indices
+                    ]
+                    computed = solve(cone, targets, use_regions, explain)
+                    self._count(tally, "tests", len(indices))
+                    self._record(page, [
+                        (cells[index], verdict)
+                        for index, verdict in zip(indices, computed)
+                    ])
+                    for index, verdict in zip(indices, computed):
+                        verdicts[index] = verdict
+
                 if self.claims is None:
-                    self._compute_pending(
-                        cone, pending, observations, verdicts,
-                        compute, use_regions, correlated, explain, tally,
-                    )
+                    compute_pending(pending)
                 else:
                     self._compute_claimed(
-                        cone, pending, observations, verdicts,
-                        compute, use_regions, correlated, explain, tally,
+                        page, cells, pending, verdicts, compute_pending, tally,
                     )
             return sweep_from_verdicts(cone.name, names, verdicts)
 
-    def _compute_pending(self, cone, pending, observations, verdicts,
-                         compute, use_regions, correlated, explain, tally):
-        """Solve one batch of pending ``(index, key)`` cells and record
-        the verdicts (the historic unconditional path)."""
-        targets = [
-            self._target(observations[index], use_regions, correlated)
-            for index, _ in pending
-        ]
-        computed = compute(cone, targets, use_regions, explain)
-        self._count(tally, "tests", len(pending))
-        for (index, key), verdict in zip(pending, computed):
-            self._record(key, verdict)
-            verdicts[index] = verdict
-
-    def _compute_claimed(self, cone, pending, observations, verdicts,
-                         compute, use_regions, correlated, explain, tally):
+    def _compute_claimed(self, page, cells, pending, verdicts,
+                         compute_pending, tally):
         """The claim-mediated pending path: compute only cells this
         caller wins, wait for (then re-read) cells another worker owns.
 
@@ -369,40 +403,26 @@ class AnalysisSession:
         """
         claims = self.claims
         mine, theirs = [], []
-        for index, key in pending:
-            if not claims.claim(key):
-                theirs.append((index, key))
-                continue
-            # The previous owner may have recorded this cell and released
-            # its claim between our lookup and our claim: re-read first.
-            verdict = self._lookup(key, tally)
-            if verdict is None:
-                mine.append((index, key))
+        for index in pending:
+            if claims.claim((page, cells[index])):
+                mine.append(index)
             else:
-                claims.release(key)
-                verdicts[index] = verdict
+                theirs.append(index)
         try:
-            if mine:
-                self._compute_pending(
-                    cone, mine, observations, verdicts,
-                    compute, use_regions, correlated, explain, tally,
-                )
+            # The previous owner may have recorded some of these cells
+            # and released their claims between our lookup and our
+            # claims: re-read first.
+            unanswered = self._lookup(page, cells, mine, verdicts, tally)
+            if unanswered:
+                compute_pending(unanswered)
         finally:
-            for _, key in mine:
-                claims.release(key)
-        orphaned = []
-        for index, key in theirs:
-            claims.wait(key)
-            verdict = self._lookup(key, tally)
-            if verdict is None:
-                orphaned.append((index, key))
-            else:
-                verdicts[index] = verdict
+            for index in mine:
+                claims.release((page, cells[index]))
+        for index in theirs:
+            claims.wait((page, cells[index]))
+        orphaned = self._lookup(page, cells, theirs, verdicts, tally)
         if orphaned:
-            self._compute_pending(
-                cone, orphaned, observations, verdicts,
-                compute, use_regions, correlated, explain, tally,
-            )
+            compute_pending(orphaned)
 
     def _target(self, observation, use_regions, correlated):
         """The solvable form of an observation for one mode."""

@@ -1,7 +1,7 @@
 """The content-addressed JSON store: the one on-disk cache in repro.
 
 Every persistent cache tier goes through :class:`ArtifactStore`:
-session verdicts and reports (:class:`~repro.results.session.
+session verdict pages and reports (:class:`~repro.results.session.
 AnalysisSession`, under ``<cache_dir>/artifacts``) and model cones
 (:class:`~repro.cone.diskcache.DiskConeCache`, under
 ``<cache_dir>/cones``). One artifact per (kind, content key), safe to
@@ -10,6 +10,14 @@ share between concurrent processes and across runs:
 * **Atomic writes.** Entries go to a temporary file in the root and are
   published with :func:`os.replace`, so a reader sees either nothing or
   a complete entry, never a torn one.
+* **Paged entries.** A verdict is one member of a *page*: an entry whose
+  payload maps member names (observation hashes) to payloads.
+  :meth:`ArtifactStore.merge` publishes new members into the page as it
+  is on disk at that moment, re-read under a process-wide lock, so
+  threads of one process never lose each other's members. Two processes
+  merging into one page at once can each publish a page without the
+  other's new members; those then read as misses and are recomputed,
+  never answered wrongly.
 * **Version-stamped envelopes** echoing their own kind and key; any
   mismatch, torn or foreign bytes degrade to a miss, never a crash.
 * **Best-effort writes.** A store only saves time, so a failed write (a
@@ -31,6 +39,7 @@ future service), and they survive class moves and refactors.
 
 import hashlib
 import json
+import operator
 import os
 import tempfile
 import threading
@@ -43,8 +52,10 @@ from repro.obs.trace import get_tracer
 #: changes; entries carrying any other stamp are treated as misses and
 #: recomputed. 2: a verdict's or report's refutation evidence depends
 #: only on its content key (version 1 entries could carry a facet the
-#: cone's earlier history happened to deduce).
-ARTIFACT_FORMAT_VERSION = 2
+#: cone's earlier history happened to deduce). 3: verdicts are stored
+#: as pages, one entry per (cone, backend, mode, explain) mapping
+#: observation hashes to cells (version 2 stored one entry per cell).
+ARTIFACT_FORMAT_VERSION = 3
 
 _ENTRY_SUFFIX = ".json"
 _CLAIM_SUFFIX = ".claim"
@@ -56,6 +67,10 @@ _STALE_TMP_SECONDS = 600.0
 #: Claim markers older than this belong to a worker that died
 #: mid-compute; a new claimant steals them (and prune() sweeps them).
 _STALE_CLAIM_SECONDS = 600.0
+
+#: Serialises ArtifactStore.merge across every store in the process, so
+#: no thread publishes a page read before another thread's merge.
+_MERGE_LOCK = threading.Lock()
 
 
 def content_key(*parts):
@@ -205,6 +220,10 @@ class ArtifactStore:
             )
             with os.fdopen(descriptor, "wb") as handle:
                 handle.write(data)
+            try:
+                replaced = os.stat(path).st_size
+            except OSError:
+                replaced = 0
             os.replace(temp_path, path)
         except BaseException as error:
             if temp_path is not None:
@@ -234,19 +253,46 @@ class ArtifactStore:
             if self._approx_bytes is None:
                 self._approx_bytes = self.total_bytes()
             else:
-                self._approx_bytes += len(data)
+                self._approx_bytes += len(data) - replaced
             over_cap = self._approx_bytes > self.max_bytes
         if over_cap:
             self.prune()
 
+    def merge(self, kind, key, members, decode):
+        """Publish ``members`` (a dict of JSON-serializable payloads)
+        into the page ``(kind, key)`` as it is on disk now, with one
+        :meth:`put`.
+
+        The page is re-read as part of the write and counted as no
+        lookup. ``decode`` must accept the whole page payload; a page
+        that is missing, stale or does not decode in full is replaced
+        by ``members`` alone, so a foreign member never outlives the
+        next write. Merges in one process run one at a time; see the
+        module docstring for two processes.
+        """
+        path = self._path(kind, key)
+        with _MERGE_LOCK:
+            try:
+                page = self._read(path, kind, key, None)
+                decode(page)
+                page = dict(page)
+            except Exception:
+                page = {}
+            page.update(members)
+            self.put(kind, key, page)
+
+    def peek(self, kind, key, decode=None):
+        """What :meth:`get` with the same arguments would return, or
+        ``None``. Nothing is counted, refreshed or dropped."""
+        try:
+            return self._read(self._path(kind, key), kind, key, decode)
+        except Exception:
+            return None
+
     def contains(self, kind, key, decode=None):
         """Whether :meth:`get` with the same arguments would return a
         payload. Nothing is counted, refreshed or dropped."""
-        try:
-            self._read(self._path(kind, key), kind, key, decode)
-        except Exception:
-            return False
-        return True
+        return self.peek(kind, key, decode) is not None
 
     # -- in-flight claims --------------------------------------------------
     def _claim_path(self, kind, key):
@@ -364,7 +410,8 @@ class ArtifactStore:
             stats.append((info.st_mtime, info.st_size, path))
         total = sum(size for _, size, _ in stats)
         if total <= self.max_bytes:
-            self._approx_bytes = total
+            with self._lock:
+                self._approx_bytes = total
             return
         stats.sort()  # oldest mtime first
         tracer = get_tracer()
@@ -372,7 +419,8 @@ class ArtifactStore:
             if total <= self.max_bytes:
                 break
             if self._discard(path):
-                self.evictions += 1
+                with self._lock:
+                    self.evictions += 1
                 total -= size
                 if tracer.enabled:
                     entry = os.path.basename(path)
@@ -383,14 +431,16 @@ class ArtifactStore:
                     tracer.metrics.counter(
                         "cache.%s.evictions" % kind
                     ).inc()
-        self._approx_bytes = total
+        with self._lock:
+            self._approx_bytes = total
 
     def clear(self):
         """Remove every artifact and temp file (counters are kept)."""
         for path in self._entries():
             self._discard(path)
         self._sweep_stale_temps(max_age=0.0)
-        self._approx_bytes = 0
+        with self._lock:
+            self._approx_bytes = 0
 
     def _touch(self, path):
         # Recency must be monotonic within this instance: a plain
@@ -422,6 +472,11 @@ class ArtifactStore:
         )
 
 
+def _marker(key):
+    """The claim-marker name of a :class:`ClaimTable` key."""
+    return "-".join(key) if isinstance(key, tuple) else key
+
+
 class ClaimTable:
     """In-flight computation claims: one owner per content key.
 
@@ -438,6 +493,10 @@ class ClaimTable:
     processes (a second daemon on the same cache directory): remote
     owners are detected via the store's claim markers and waited on by
     polling for the published artifact.
+
+    A key names a whole entry, or is a ``(page key, member)`` pair
+    naming one member of a page (a verdict cell): a remote owner of a
+    member is done when the member appears in its page.
     """
 
     def __init__(self, store=None, kind="verdict", poll_interval=0.05):
@@ -454,7 +513,8 @@ class ClaimTable:
                 return False
             event = threading.Event()
             self._events[key] = event
-        if self.store is not None and not self.store.claim(self.kind, key):
+        if self.store is not None and \
+                not self.store.claim(self.kind, _marker(key)):
             # A *remote* process owns the cell. Keep our local event
             # registered (so threads here coalesce onto one waiter) but
             # mark it remote: wait() then polls the store.
@@ -474,7 +534,7 @@ class ClaimTable:
         if event is not None:
             event.set()
         if self.store is not None:
-            self.store.release_claim(self.kind, key)
+            self.store.release_claim(self.kind, _marker(key))
 
     def wait(self, key, timeout=600.0):
         """Block until ``key``'s owner releases it (or ``timeout``).
@@ -493,9 +553,14 @@ class ClaimTable:
             return event.wait(timeout)
         deadline = time.time() + timeout
         store = self.store
+        if isinstance(key, tuple):
+            entry, member = key
+            decode = operator.itemgetter(member)
+        else:
+            entry, decode = key, None
         while time.time() < deadline:
-            if store.contains(self.kind, key) or \
-                    not store.claimed(self.kind, key):
+            if store.contains(self.kind, entry, decode=decode) or \
+                    not store.claimed(self.kind, _marker(key)):
                 with self._lock:
                     stale = self._events.pop(key, None)
                 if stale is not None:

@@ -288,6 +288,20 @@ class TestArtifactStore:
         assert store.contains("verdict", keys[-1])   # newest survives
         assert not store.contains("verdict", keys[0])  # oldest evicted
 
+    def test_rewriting_one_entry_never_prunes(self, tmp_path, monkeypatch):
+        # A rewrite replaces the entry's bytes, so the running estimate
+        # must not grow with it and cross the cap.
+        store = ArtifactStore(tmp_path)
+        key = content_key("page")
+        store.put("verdict", key, {"cells": "x" * 100})
+        store.max_bytes = 10 * store.total_bytes()
+        prunes = []
+        monkeypatch.setattr(store, "prune", lambda: prunes.append(1))
+        for _ in range(1000):
+            store.put("verdict", key, {"cells": "x" * 100})
+        assert prunes == []
+        assert store._approx_bytes == store.total_bytes()
+
     def test_kind_must_be_a_bare_label(self, tmp_path):
         from repro.errors import AnalysisError
 
@@ -449,7 +463,8 @@ class TestClaimedSession:
             def claim(self, key):
                 # The previous owner records the cell and releases its
                 # claim between this caller's lookup and its claim.
-                session._record(key, finished.pop(0))
+                page, cell = key
+                session._record(page, [(cell, finished.pop(0))])
                 return super().claim(key)
 
         session.claims = LateClaims()

@@ -326,6 +326,21 @@ class TestCli:
         error = capsys.readouterr().err
         assert error.startswith("error: ") and "load.pde$_miss" in error
 
+    def test_analyze_perf_csv_missing_counter(self, model_file, tmp_path, capsys):
+        from repro.cli import main
+
+        csv_path = tmp_path / "perf.csv"
+        lines = [
+            "%d.0,%d,,dtlb_load_misses.miss_causes_a_walk,1,1" % (index, 100 + index)
+            for index in range(1, 5)
+        ]
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(["analyze", model_file, "--perf-csv", str(csv_path), "--json"])
+        assert code == 2
+        streams = capsys.readouterr()
+        assert streams.out == ""
+        assert streams.err == "error: CSV lacks model counters: load.pde$_miss\n"
+
     def test_render_command(self, model_file, tmp_path, capsys):
         from repro.cli import main
 

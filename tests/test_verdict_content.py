@@ -234,17 +234,17 @@ def test_version_1_verdicts_are_recomputed(backend, tmp_path):
         clean = counterpoint.sweep("no_merging_load_side", data)
         cone = counterpoint.model_cone("no_merging_load_side")
         facet = cone.constraints()[0]
-    # Plant evidence a version 1 entry could hold: a deduced facet.
+    # Plant evidence a version 1 entry could hold, a deduced facet, in
+    # every cell of the sweep's page, and stamp the page version 1.
     vector = cone.vector_from_observation(data[0].point())
     planted = CellVerdict(False, Violation(facet, facet.evaluate(vector), definite=True))
-    entries = sorted((tmp_path / "artifacts").glob("verdict-*.json"))
-    assert len(entries) == len(data)
-    for path in entries:
-        envelope = json.loads(path.read_text())
-        assert envelope["version"] == ARTIFACT_FORMAT_VERSION == 2
-        envelope["version"] = 1
-        envelope["payload"] = planted.to_dict()
-        path.write_text(json.dumps(envelope, sort_keys=True))
+    (page,) = (tmp_path / "artifacts").glob("verdict-*.json")
+    envelope = json.loads(page.read_text())
+    assert envelope["version"] == ARTIFACT_FORMAT_VERSION == 3
+    assert len(envelope["payload"]) == len(data)
+    envelope["version"] = 1
+    envelope["payload"] = {cell: planted.to_dict() for cell in envelope["payload"]}
+    page.write_text(json.dumps(envelope, sort_keys=True))
     with CounterPoint(backend=backend, cache_dir=tmp_path) as counterpoint:
         again = counterpoint.sweep("no_merging_load_side", data)
         stats = counterpoint.session().stats

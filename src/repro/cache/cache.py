@@ -43,8 +43,12 @@ class SetAssociativeCache:
     def access(self, address):
         """Access a byte address; returns True on hit. Misses insert the
         line, evicting LRU if needed."""
-        index, tag = self._locate(address)
-        cache_set = self._sets[index]
+        # _locate, inlined: every page-walker load accesses up to three
+        # levels.
+        line = address // self.line_size
+        n_sets = self.n_sets
+        cache_set = self._sets[line % n_sets]
+        tag = line // n_sets
         if tag in cache_set:
             cache_set.move_to_end(tag)
             self.hits += 1

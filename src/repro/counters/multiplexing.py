@@ -27,6 +27,12 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
+#: Normal draws per chunk of intervals in
+#: :meth:`MultiplexingSimulator.observe_run` (2 MiB of float64): the
+#: chunk's working arrays stay a few MB whatever the run's length.
+_CHUNK_DRAWS = 1 << 18
+
+
 class MultiplexingSimulator:
     """Simulates perf-style counter multiplexing and scaling.
 
@@ -58,6 +64,11 @@ class MultiplexingSimulator:
             raise ConfigurationError("need at least one physical counter")
         if slices_per_interval < 1:
             raise ConfigurationError("need at least one slice per interval")
+        for name, value in (("phase_noise", phase_noise), ("jitter", jitter)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    "%s must be finite and non-negative, got %r" % (name, value)
+                )
         self.n_physical = n_physical
         self.slices_per_interval = slices_per_interval
         self.phase_noise = phase_noise
@@ -86,44 +97,60 @@ class MultiplexingSimulator:
         ``true_counts`` is the vector of ground-truth event counts for
         the interval. Returns the vector of perf-style estimates.
         """
-        true_counts = np.asarray(true_counts, dtype=float)
-        n = true_counts.shape[0]
-        slices = self.slices_per_interval
-        active = self.schedule(n)
-
-        # Shared per-slice activity weights (workload phase behaviour).
-        weights = 1.0 + self.phase_noise * self._rng.standard_normal(slices)
-        weights = np.clip(weights, 0.05, None)
-        weights = weights / weights.sum()
-
-        estimates = np.empty(n)
-        for j in range(n):
-            per_slice = true_counts[j] * weights
-            if self.jitter > 0:
-                per_slice = per_slice * (
-                    1.0 + self.jitter * self._rng.standard_normal(slices)
-                )
-                per_slice = np.clip(per_slice, 0.0, None)
-            active_mask = active[:, j]
-            observed = float(per_slice[active_mask].sum())
-            # perf scales by the fraction of time the event was
-            # scheduled; the scheduler believes slices are equal-length,
-            # so it scales by slice count — the source of the bias/noise
-            # when per-slice activity actually varies.
-            time_fraction = active_mask.sum() / slices
-            if time_fraction == 0:
-                estimates[j] = 0.0
-            else:
-                estimates[j] = observed / time_fraction
-        return estimates
+        return self.observe_run([true_counts])[0]
 
     def observe_run(self, true_interval_counts):
         """Estimate a whole run: ``M x N`` true counts → ``M x N``
-        noisy estimates (one row per sampling interval)."""
+        noisy estimates (one row per sampling interval).
+
+        Per interval, the RNG draws the ``slices`` shared phase weights
+        and then, with ``jitter > 0``, ``slices`` jitter factors per
+        counter, in counter order. Each counter's estimate is its count
+        over its scheduled slices, divided by the fraction of slices it
+        was scheduled for (0 for a counter never scheduled). The run is
+        computed a chunk of intervals at a time, each chunk's draws
+        taken in one call, which yields the stream interval-by-interval
+        draws would.
+        """
         matrix = np.asarray(true_interval_counts, dtype=float)
         if matrix.ndim != 2:
             raise ConfigurationError("true_interval_counts must be M x N")
-        return np.stack([self.observe_interval(row) for row in matrix])
+        n_intervals, n = matrix.shape
+        if n_intervals == 0:
+            raise ConfigurationError("true_interval_counts has no intervals (rows)")
+        slices = self.slices_per_interval
+        active = self.schedule(n)
+        # Each counter's scheduled slices and perf's scale for it: the
+        # scheduler believes slices are equal-length, so it scales by
+        # slice count — the source of the bias/noise when per-slice
+        # activity actually varies.
+        scheduled = []
+        for j in range(n):
+            slots = np.flatnonzero(active[:, j])
+            if slots.size:
+                scheduled.append((j, slots, slots.size / slices))
+        # Per interval: one row of phase draws, then one per counter.
+        layers = 1 + n if self.jitter > 0 else 1
+        rows = max(1, _CHUNK_DRAWS // (layers * slices))
+        estimates = np.zeros((n_intervals, n))
+        for start in range(0, n_intervals, rows):
+            truth = matrix[start : start + rows]
+            normal = self._rng.standard_normal((truth.shape[0], layers, slices))
+            # Shared per-slice activity weights (workload phase behaviour).
+            weights = 1.0 + self.phase_noise * normal[:, 0]
+            weights = np.clip(weights, 0.05, None)
+            weights = weights / weights.sum(axis=1, keepdims=True)
+            per_slice = truth[:, :, None] * weights[:, None, :]
+            if self.jitter > 0:
+                per_slice = per_slice * (1.0 + self.jitter * normal[:, 1:])
+                per_slice = np.clip(per_slice, 0.0, None)
+            chunk = estimates[start : start + rows]
+            for j, slots, time_fraction in scheduled:
+                # A contiguous gather, so each row sums its slots in the
+                # order (and pairwise grouping) of a 1-D sum.
+                observed = np.ascontiguousarray(per_slice[:, j, slots]).sum(axis=1)
+                chunk[:, j] = observed / time_fraction
+        return estimates
 
     def noise_profile(self, true_counts, n_intervals=200):
         """Standard deviation of the estimates of a steady workload —

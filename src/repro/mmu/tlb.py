@@ -26,21 +26,22 @@ class TLBArray:
         self.n_sets = entries // ways
         self._sets = [OrderedDict() for _ in range(self.n_sets)]
 
-    def _locate(self, vpn):
-        return vpn % self.n_sets, vpn // self.n_sets
-
+    # lookup and insert run for most µops, so each computes its set
+    # index (vpn % n_sets) and tag (vpn // n_sets) inline.
     def lookup(self, vpn):
         """Probe for a virtual page number; hit refreshes LRU state."""
-        index, tag = self._locate(vpn)
-        entries = self._sets[index]
+        n_sets = self.n_sets
+        entries = self._sets[vpn % n_sets]
+        tag = vpn // n_sets
         if tag in entries:
             entries.move_to_end(tag)
             return True
         return False
 
     def insert(self, vpn):
-        index, tag = self._locate(vpn)
-        entries = self._sets[index]
+        n_sets = self.n_sets
+        entries = self._sets[vpn % n_sets]
+        tag = vpn // n_sets
         entries[tag] = None
         entries.move_to_end(tag)
         if len(entries) > self.ways:
@@ -97,16 +98,12 @@ class STLB:
         if page_size not in self.CACHEABLE:
             return False
         # Tag the entry with its page size so 4K/2M entries cannot alias.
-        return self.array.lookup(self._key(vpn, page_size))
+        return self.array.lookup(vpn * 2 + (0 if page_size == PageSize.SIZE_4K else 1))
 
     def insert(self, vpn, page_size):
         if page_size not in self.CACHEABLE:
             return
-        self.array.insert(self._key(vpn, page_size))
+        self.array.insert(vpn * 2 + (0 if page_size == PageSize.SIZE_4K else 1))
 
     def invalidate_all(self):
         self.array.invalidate_all()
-
-    @staticmethod
-    def _key(vpn, page_size):
-        return vpn * 2 + (0 if page_size == PageSize.SIZE_4K else 1)

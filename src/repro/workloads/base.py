@@ -1,5 +1,7 @@
 """Workload base class: deterministic µop address-stream generators."""
 
+from itertools import islice, starmap
+
 from repro.errors import SimulationError
 from repro.mmu.core import MemoryOp
 
@@ -26,20 +28,16 @@ class Workload:
         raise NotImplementedError
 
     def ops(self, n_ops):
-        """Yield :class:`MemoryOp` µops (at most ``n_ops``)."""
+        """An iterator of at most ``n_ops`` :class:`MemoryOp` µops.
+
+        Raises :class:`SimulationError` at call time (not at the first
+        iteration) when ``n_ops`` is not positive. Each descriptor is
+        unpacked straight into a validated :class:`MemoryOp`; no Python
+        frame runs between the generator and its consumer.
+        """
         if n_ops <= 0:
             raise SimulationError("n_ops must be positive")
-        produced = 0
-        for descriptor in self.addresses(n_ops):
-            if produced >= n_ops:
-                break
-            if len(descriptor) == 2:
-                kind, vaddr = descriptor
-                retires = True
-            else:
-                kind, vaddr, retires = descriptor
-            yield MemoryOp(kind, vaddr, retires=retires)
-            produced += 1
+        return starmap(MemoryOp, islice(self.addresses(n_ops), n_ops))
 
     def describe(self):
         """Metadata used in observation labels."""
@@ -47,6 +45,18 @@ class Workload:
 
     def __repr__(self):
         return "%s(footprint=%d)" % (type(self).__name__, self.footprint_bytes)
+
+
+def footprint_lines(footprint_bytes):
+    """The number of 64-byte lines in a footprint. Raises
+    :class:`SimulationError` for a footprint under one line, which a
+    generator that draws lines cannot address."""
+    lines = footprint_bytes // 64
+    if lines <= 0:
+        raise SimulationError(
+            "footprint of %r bytes is smaller than one 64-byte line" % (footprint_bytes,)
+        )
+    return lines
 
 
 def store_period(load_store_ratio):

@@ -11,7 +11,7 @@ reverse-engineer the TLB prefetchers.
 import random
 
 from repro.errors import SimulationError
-from repro.workloads.base import Workload, store_period
+from repro.workloads.base import Workload, footprint_lines, store_period
 
 
 class LinearAccessWorkload(Workload):
@@ -55,11 +55,11 @@ class LinearAccessWorkload(Workload):
         self.warm_pass = warm_pass
 
     def addresses(self, n_ops):
-        positions = list(range(0, self.footprint_bytes, self.stride))
+        # A range, not a list: a 64 MB footprint at stride 64 has 1M
+        # positions, and a run usually reads a few thousand of them.
+        positions = range(0, self.footprint_bytes, self.stride)
         if self.descending:
             positions = positions[::-1]
-        if not positions:
-            return
         period = store_period(self.load_store_ratio)
         index = 0
         if self.warm_pass:
@@ -100,13 +100,12 @@ class RandomAccessWorkload(Workload):
     def __init__(self, footprint_bytes, load_store_ratio=1.0, seed=0):
         super().__init__(footprint_bytes, seed=seed)
         store_period(load_store_ratio)  # rejects a ratio outside [0, 1]
+        footprint_lines(footprint_bytes)  # rejects a footprint under one line
         self.load_store_ratio = load_store_ratio
 
     def addresses(self, n_ops):
         rng = random.Random(self.seed)
-        lines = self.footprint_bytes // 64
-        if lines <= 0:
-            raise SimulationError("footprint smaller than one cache line")
+        lines = footprint_lines(self.footprint_bytes)
         period = store_period(self.load_store_ratio)
         for index in range(n_ops):
             offset = rng.randrange(lines) * 64

@@ -9,7 +9,7 @@ than its computation.
 import random
 
 from repro.errors import SimulationError
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, footprint_lines
 
 
 class BfsWorkload(Workload):
@@ -26,11 +26,12 @@ class BfsWorkload(Workload):
         super().__init__(footprint_bytes, seed=seed)
         if frontier_len <= 0:
             raise SimulationError("frontier_len must be positive")
+        footprint_lines(footprint_bytes)  # rejects a footprint under one line
         self.frontier_len = frontier_len
 
     def addresses(self, n_ops):
         rng = random.Random(self.seed)
-        lines = self.footprint_bytes // 64
+        lines = footprint_lines(self.footprint_bytes)
         index = 0
         cursor = 0
         while index < n_ops:
@@ -68,11 +69,12 @@ class PointerChaseWorkload(Workload):
         super().__init__(footprint_bytes, seed=seed)
         if not 0.0 <= spec_fraction < 1.0:
             raise SimulationError("spec_fraction must be in [0, 1)")
+        footprint_lines(footprint_bytes)  # rejects a footprint under one line
         self.spec_fraction = spec_fraction
 
     def addresses(self, n_ops):
         rng = random.Random(self.seed)
-        lines = self.footprint_bytes // 64
+        lines = footprint_lines(self.footprint_bytes)
         current = rng.randrange(lines)
         spec_period = None
         if self.spec_fraction > 0:
@@ -101,10 +103,17 @@ class StreamWorkload(Workload):
         super().__init__(footprint_bytes, seed=seed)
         if stride <= 0:
             raise SimulationError("stride must be positive")
+        if footprint_bytes < 3 * stride:
+            # Each array needs a stride's room, or the written one runs
+            # past the footprint.
+            raise SimulationError(
+                "stream footprint of %r bytes is under 3 x stride %r"
+                % (footprint_bytes, stride)
+            )
         self.stride = stride
 
     def addresses(self, n_ops):
-        third = max(self.stride, self.footprint_bytes // 3)
+        third = self.footprint_bytes // 3
         base_a, base_b, base_c = 0, third, 2 * third
         index = 0
         offset = 0
@@ -134,12 +143,13 @@ class ZipfianKVWorkload(Workload):
             raise SimulationError("theta must be in (0, 1)")
         if not 0.0 <= read_fraction <= 1.0:
             raise SimulationError("read_fraction must be in [0, 1]")
+        footprint_lines(footprint_bytes)  # rejects a footprint under one line
         self.theta = theta
         self.read_fraction = read_fraction
 
     def addresses(self, n_ops):
         rng = random.Random(self.seed)
-        lines = self.footprint_bytes // 64
+        lines = footprint_lines(self.footprint_bytes)
         # Approximate Zipf via the power-of-uniform trick: rank ~
         # floor(lines * u^(1/(1-theta))) concentrates mass at low ranks.
         exponent = 1.0 / (1.0 - self.theta)

@@ -4,25 +4,176 @@ This is :class:`repro.mmu.MMUSimulator` as it stood before its per-µop
 work was cut down: every walk completion scans the MSHRs, every counter
 name is formatted at its increment, and every walk asks
 :class:`~repro.mmu.paging.PageTable` for its levels and entry
-addresses. ``tests/test_mmu_fastpath.py`` runs both simulators on the
-same seeded op streams and requires identical counters, ticks and
-accessed bits. Do not optimise this file: its value is that it is
-obviously the specification.
+addresses. It runs on frozen copies of the TLB arrays and data caches
+(each probe locating its set through ``_locate``/``_key``), so the
+simulator's inlined set and tag arithmetic is checked against the
+helpers it replaced, not against itself. ``tests/test_mmu_fastpath.py``
+runs both simulators on the same seeded op streams and requires
+identical counters, ticks and accessed bits. Do not optimise this file:
+its value is that it is obviously the specification.
 
-The two microbenchmark address loops are frozen here too, with the
-per-op store rule they used, so the generators' cheaper loops are
+The two microbenchmark address loops, the per-op ``Workload.ops`` loop
+and the per-interval multiplexer are frozen here too, so the cheaper
+generators, the C-level µop stream and the chunked multiplexer are
 checked against them.
 """
 
 import random
+from collections import OrderedDict
 
-from repro.errors import SimulationError
-from repro.cache import CacheHierarchy
+import numpy as np
+
+from repro.errors import ConfigurationError, SimulationError
 from repro.counters.events import HASWELL_MMU_EVENTS
 from repro.mmu.config import MMUConfig, PageSize
+from repro.mmu.core import MemoryOp
 from repro.mmu.paging import PageTable, PagingStructureCache
 from repro.mmu.prefetcher import PrefetchTrigger
-from repro.mmu.tlb import L1DTLB, STLB
+
+
+# -- TLBs and data caches ---------------------------------------------------
+
+
+class TLBArray:
+    """A set-associative TLB for one page size (LRU replacement)."""
+
+    def __init__(self, entries, ways, name="tlb"):
+        if entries <= 0 or ways <= 0 or entries % ways != 0:
+            raise ConfigurationError(
+                "TLB %s: %d entries not divisible into %d ways" % (name, entries, ways)
+            )
+        self.name = name
+        self.ways = ways
+        self.n_sets = entries // ways
+        self._sets = [OrderedDict() for _ in range(self.n_sets)]
+
+    def _locate(self, vpn):
+        return vpn % self.n_sets, vpn // self.n_sets
+
+    def lookup(self, vpn):
+        """Probe for a virtual page number; hit refreshes LRU state."""
+        index, tag = self._locate(vpn)
+        entries = self._sets[index]
+        if tag in entries:
+            entries.move_to_end(tag)
+            return True
+        return False
+
+    def insert(self, vpn):
+        index, tag = self._locate(vpn)
+        entries = self._sets[index]
+        entries[tag] = None
+        entries.move_to_end(tag)
+        if len(entries) > self.ways:
+            entries.popitem(last=False)
+
+
+class L1DTLB:
+    """First-level data TLB: separate arrays per page size."""
+
+    def __init__(self, config):
+        self.arrays = {
+            PageSize.SIZE_4K: TLBArray(
+                config.l1_tlb_entries_4k, config.l1_tlb_ways_4k, name="L1D-4K"
+            ),
+            PageSize.SIZE_2M: TLBArray(
+                config.l1_tlb_entries_2m, config.l1_tlb_ways_2m, name="L1D-2M"
+            ),
+            PageSize.SIZE_1G: TLBArray(
+                config.l1_tlb_entries_1g, config.l1_tlb_ways_1g, name="L1D-1G"
+            ),
+        }
+
+    def lookup(self, vpn, page_size):
+        return self.arrays[page_size].lookup(vpn)
+
+    def insert(self, vpn, page_size):
+        self.arrays[page_size].insert(vpn)
+
+
+class STLB:
+    """Second-level (shared) TLB: holds 4 KB and 2 MB translations."""
+
+    CACHEABLE = (PageSize.SIZE_4K, PageSize.SIZE_2M)
+
+    def __init__(self, config):
+        self.array = TLBArray(config.stlb_entries, config.stlb_ways, name="STLB")
+
+    def lookup(self, vpn, page_size):
+        if page_size not in self.CACHEABLE:
+            return False
+        # Tag the entry with its page size so 4K/2M entries cannot alias.
+        return self.array.lookup(self._key(vpn, page_size))
+
+    def insert(self, vpn, page_size):
+        if page_size not in self.CACHEABLE:
+            return
+        self.array.insert(self._key(vpn, page_size))
+
+    @staticmethod
+    def _key(vpn, page_size):
+        return vpn * 2 + (0 if page_size == PageSize.SIZE_4K else 1)
+
+
+class SetAssociativeCache:
+    """A set-associative cache with true-LRU replacement (tags only)."""
+
+    def __init__(self, total_bytes, ways, line_size=64, name="cache"):
+        if total_bytes <= 0 or ways <= 0 or line_size <= 0:
+            raise ConfigurationError("cache geometry must be positive")
+        lines = total_bytes // line_size
+        if lines % ways != 0 or lines == 0:
+            raise ConfigurationError(
+                "cache of %d lines cannot be %d-way set associative" % (lines, ways)
+            )
+        self.name = name
+        self.line_size = line_size
+        self.ways = ways
+        self.n_sets = lines // ways
+        self._sets = [OrderedDict() for _ in range(self.n_sets)]
+        self.hits = 0
+        self.misses = 0
+
+    def _locate(self, address):
+        line = address // self.line_size
+        return line % self.n_sets, line // self.n_sets
+
+    def access(self, address):
+        """Access a byte address; returns True on hit. Misses insert the
+        line, evicting LRU if needed."""
+        index, tag = self._locate(address)
+        cache_set = self._sets[index]
+        if tag in cache_set:
+            cache_set.move_to_end(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        cache_set[tag] = None
+        if len(cache_set) > self.ways:
+            cache_set.popitem(last=False)
+        return False
+
+
+class CacheHierarchy:
+    """An inclusive L1/L2/L3 hierarchy for page-walker loads."""
+
+    def __init__(self, l1=None, l2=None, l3=None):
+        self.l1 = l1 or SetAssociativeCache(32 * 1024, 8, name="L1D")
+        self.l2 = l2 or SetAssociativeCache(256 * 1024, 8, name="L2")
+        self.l3 = l3 or SetAssociativeCache(2 * 1024 * 1024, 16, name="L3")
+
+    def access(self, address):
+        """Access a byte address; returns the serving level name."""
+        if self.l1.access(address):
+            return "l1"
+        if self.l2.access(address):
+            return "l2"
+        if self.l3.access(address):
+            return "l3"
+        return "mem"
+
+
+# -- the simulator ----------------------------------------------------------
 
 
 class _OutstandingWalk:
@@ -359,3 +510,86 @@ def random_addresses(workload, n_ops):
         offset = rng.randrange(lines) * 64
         kind = "store" if interleave_stores(index, workload.load_store_ratio) else "load"
         yield (kind, offset)
+
+
+def workload_ops(workload, n_ops, addresses=None):
+    """``Workload.ops`` as it stood: a generator that unpacks each
+    descriptor and builds its :class:`MemoryOp` in Python, over
+    ``addresses`` (default ``workload.addresses(n_ops)``)."""
+    if n_ops <= 0:
+        raise SimulationError("n_ops must be positive")
+    if addresses is None:
+        addresses = workload.addresses(n_ops)
+    produced = 0
+    for descriptor in addresses:
+        if produced >= n_ops:
+            break
+        if len(descriptor) == 2:
+            kind, vaddr = descriptor
+            retires = True
+        else:
+            kind, vaddr, retires = descriptor
+        yield MemoryOp(kind, vaddr, retires=retires)
+        produced += 1
+
+
+# -- the multiplexer --------------------------------------------------------
+
+
+class ReferenceMultiplexer:
+    """``MultiplexingSimulator`` as it stood: one interval at a time,
+    the schedule rebuilt and every draw taken per interval and per
+    counter."""
+
+    def __init__(self, n_physical=4, slices_per_interval=24, phase_noise=0.35, jitter=0.01, seed=0):
+        self.n_physical = n_physical
+        self.slices_per_interval = slices_per_interval
+        self.phase_noise = phase_noise
+        self.jitter = jitter
+        self._rng = np.random.default_rng(seed)
+
+    def schedule(self, n_counters):
+        slices = self.slices_per_interval
+        active = np.zeros((slices, n_counters), dtype=bool)
+        if n_counters <= self.n_physical:
+            active[:, :] = True
+            return active
+        cursor = 0
+        for t in range(slices):
+            for slot in range(self.n_physical):
+                active[t, (cursor + slot) % n_counters] = True
+            cursor = (cursor + self.n_physical) % n_counters
+        return active
+
+    def observe_interval(self, true_counts):
+        true_counts = np.asarray(true_counts, dtype=float)
+        n = true_counts.shape[0]
+        slices = self.slices_per_interval
+        active = self.schedule(n)
+
+        weights = 1.0 + self.phase_noise * self._rng.standard_normal(slices)
+        weights = np.clip(weights, 0.05, None)
+        weights = weights / weights.sum()
+
+        estimates = np.empty(n)
+        for j in range(n):
+            per_slice = true_counts[j] * weights
+            if self.jitter > 0:
+                per_slice = per_slice * (
+                    1.0 + self.jitter * self._rng.standard_normal(slices)
+                )
+                per_slice = np.clip(per_slice, 0.0, None)
+            active_mask = active[:, j]
+            observed = float(per_slice[active_mask].sum())
+            time_fraction = active_mask.sum() / slices
+            if time_fraction == 0:
+                estimates[j] = 0.0
+            else:
+                estimates[j] = observed / time_fraction
+        return estimates
+
+    def observe_run(self, true_interval_counts):
+        matrix = np.asarray(true_interval_counts, dtype=float)
+        if matrix.ndim != 2:
+            raise ConfigurationError("true_interval_counts must be M x N")
+        return np.stack([self.observe_interval(row) for row in matrix])

@@ -121,6 +121,25 @@ class TestMultiplexing:
         with pytest.raises(ConfigurationError):
             sim.observe_run([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("phase_noise", float("nan")),
+            ("phase_noise", float("inf")),
+            ("phase_noise", -0.3),
+            ("jitter", float("nan")),
+            ("jitter", -0.01),
+        ],
+    )
+    def test_bad_noise_magnitude_fails_at_construction(self, option, value):
+        with pytest.raises(ConfigurationError, match="%s must be finite" % option):
+            MultiplexingSimulator(**{option: value})
+
+    def test_observe_run_without_intervals(self):
+        sim = MultiplexingSimulator()
+        with pytest.raises(ConfigurationError, match="no intervals"):
+            sim.observe_run(np.zeros((0, 5)))
+
     def test_deterministic_with_seed(self):
         a = MultiplexingSimulator(n_physical=4, seed=9).observe_interval([100.0] * 8)
         b = MultiplexingSimulator(n_physical=4, seed=9).observe_interval([100.0] * 8)

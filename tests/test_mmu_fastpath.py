@@ -2,11 +2,13 @@
 
 :class:`repro.mmu.MMUSimulator` completes walks from the head of its
 MSHR queue, formats counter names once and follows precomputed walk
-plans. ``mmu_reference.ReferenceMMUSimulator`` is the simulator before
-those changes: it scans the MSHRs and asks the page table for every
-walk. On the same op stream both must produce the same per-interval
-counter deltas, the same final snapshot, the same tick and the same set
-of accessed bits, whatever the page size, geometry or feature set.
+plans, and its TLBs and data caches compute set and tag inline.
+``mmu_reference.ReferenceMMUSimulator`` is the simulator before those
+changes, on frozen copies of the TLBs and caches: it scans the MSHRs
+and asks the page table for every walk. On the same op stream both must
+produce the same per-interval counter deltas, the same final snapshot,
+the same tick and the same set of accessed bits, whatever the page
+size, geometry or feature set.
 
 The cases are seeded. ``SIM_EQUIV_SEED`` (CI rotates it daily) offsets
 the seed range, as in ``test_sim_equivalence.py``, so the sweep covers
@@ -19,7 +21,7 @@ import random
 import pytest
 
 import mmu_reference
-from repro.cache import CacheHierarchy, SetAssociativeCache
+import repro.cache
 from repro.mmu import PAGE_SIZES, MMUConfig, MMUSimulator, MemoryOp, PageSize
 from repro.workloads import (
     BfsWorkload,
@@ -54,10 +56,13 @@ def _checked(simulator, ops):
         assert_head_ordered(simulator)
 
 
-def _caches(spec):
+def _caches(spec, reference=False):
+    """A data-cache hierarchy of ``(size, ways)`` levels: the program's,
+    or with ``reference`` the frozen one."""
     if spec is None:
         return None
-    return CacheHierarchy(*(SetAssociativeCache(size, ways) for size, ways in spec))
+    module = mmu_reference if reference else repro.cache
+    return module.CacheHierarchy(*(module.SetAssociativeCache(size, ways) for size, ways in spec))
 
 
 def run_both(config, page_size, ops, schedule, warm=(), caches=None, context=""):
@@ -65,7 +70,10 @@ def run_both(config, page_size, ops, schedule, warm=(), caches=None, context="")
     simulators and require identical observable state."""
     results = []
     for simulator_class in (mmu_reference.ReferenceMMUSimulator, MMUSimulator):
-        simulator = simulator_class(config, page_size=page_size, cache_hierarchy=_caches(caches))
+        reference = simulator_class is not MMUSimulator
+        simulator = simulator_class(
+            config, page_size=page_size, cache_hierarchy=_caches(caches, reference)
+        )
         stream = ops
         if simulator_class is MMUSimulator:
             stream = _checked(simulator, ops)
@@ -153,7 +161,8 @@ def random_workload(rng, page_bytes):
     choice = rng.randrange(6)
     if choice == 0:
         stride = rng.choice((64, 192, 4096, page_bytes // 8, page_bytes))
-        # At most ~20k positions: the generator lists them up front.
+        # At most ~20k positions a pass, so a run of at most 1,200 ops
+        # still crosses pages at the large page sizes.
         stride = max(stride, footprint // 20000 // 64 * 64)
         return LinearAccessWorkload(
             footprint,

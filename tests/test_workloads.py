@@ -136,6 +136,35 @@ class TestRandom:
             list(RandomAccessWorkload(32).ops(1))
 
 
+#: The generators that draw 64-byte lines from their footprint.
+LINE_GENERATORS = [RandomAccessWorkload, BfsWorkload, PointerChaseWorkload, ZipfianKVWorkload]
+
+
+class TestBadInputsFailAtConstruction:
+    """Bad generator inputs raise a :class:`SimulationError` naming the
+    value when the workload is built, not a foreign error mid-stream."""
+
+    @pytest.mark.parametrize("workload_class", LINE_GENERATORS, ids=lambda cls: cls.name)
+    def test_footprint_under_one_line(self, workload_class):
+        with pytest.raises(SimulationError, match="footprint of 32 bytes"):
+            workload_class(32)
+
+    @pytest.mark.parametrize("workload_class", LINE_GENERATORS, ids=lambda cls: cls.name)
+    def test_one_line_is_enough(self, workload_class):
+        ops = list(workload_class(64).ops(20))
+        assert {op.vaddr for op in ops} == {0}
+
+    def test_stream_footprint_under_three_strides(self):
+        # At 512 bytes the written array would start at 512, outside
+        # the footprint.
+        with pytest.raises(SimulationError, match="512.*256"):
+            StreamWorkload(512, stride=256)
+
+    def test_stream_at_three_strides_stays_inside(self):
+        workload = StreamWorkload(768, stride=256)
+        assert max(op.vaddr for op in workload.ops(30)) < 768
+
+
 class TestSuites:
     def test_bfs_mixes_sequential_and_random(self):
         ops = list(BfsWorkload(1 << 20, frontier_len=8, seed=5).ops(64))

@@ -17,7 +17,7 @@ def _constraint_counts():
     rows = []
     for label, counters in cumulative_group_counters():
         _, signatures = signature_matrix(mudd, counters=counters)
-        constraints = deduce_constraints(signatures, counters)
+        constraints = deduce_constraints(signatures.tolist(), counters)
         rows.append((label, len(counters), len(constraints)))
     return rows
 

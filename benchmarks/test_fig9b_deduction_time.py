@@ -28,7 +28,7 @@ def m0_mudd():
 @pytest.mark.parametrize("step", range(len(GROUP_STEPS)), ids=[s[0] for s in GROUP_STEPS])
 def test_fig9b_deduction_time(benchmark, m0_mudd, step):
     label, counters = GROUP_STEPS[step]
-    _, signatures = signature_matrix(m0_mudd, counters=counters)
+    signatures = signature_matrix(m0_mudd, counters=counters)[1].tolist()
 
     constraints = benchmark.pedantic(
         deduce_constraints, args=(signatures, counters), rounds=1, iterations=1

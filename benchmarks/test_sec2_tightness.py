@@ -79,12 +79,12 @@ def _analysis(dataset):
     # Soundness against the conservative world (m0 µpaths satisfy both
     # correct bounds) and the abort world (a0 µpaths break the
     # too-strong bound: references without termination).
-    _, m0_signatures = signature_matrix(
+    m0_signatures = signature_matrix(
         build_haswell_mudd(M_SERIES["m0"]), counters=ALL_COUNTERS
-    )
-    _, a0_signatures = signature_matrix(
+    )[1].tolist()
+    a0_signatures = signature_matrix(
         build_abort_mudd(A_SERIES["a0"]), counters=ALL_COUNTERS
-    )
+    )[1].tolist()
     m0_loose = all(loose.is_satisfied_by(list(s)) for s in m0_signatures)
     m0_strong = all(strong.is_satisfied_by(list(s)) for s in m0_signatures)
     m0_tight = all(tight.is_satisfied_by(list(s)) for s in m0_signatures)

@@ -86,7 +86,7 @@ def signature_sets():
     for name in ("m0", "m4"):
         mudd = build_haswell_mudd(M_SERIES[name], name=name)
         _, signatures = signature_matrix(mudd, counters=ALL_COUNTERS)
-        sets[name] = signatures
+        sets[name] = signatures.tolist()
     return sets
 
 

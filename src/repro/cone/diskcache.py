@@ -15,8 +15,11 @@ byte cap and stale-temp sweeping are the store's. A cone entry holds
 plain data — name, counters, integer signatures, multiplicities and
 the deduced constraints' coprime integer normals — so the round trip
 is exact and reading a cache directory never runs code. A payload that
-fails to decode (a foreign shape, a negative count, a malformed
-constraint) is discarded and recomputed — never a crash. Entries from
+fails to decode (a foreign shape, a count that is negative, not an
+integer or outside int64, a malformed constraint) is discarded and
+recomputed — never a crash. Entries are keyed by the µDD fingerprint,
+not the cone fingerprint, so a change to how cones are fingerprinted
+leaves them valid. Entries from
 before :data:`CACHE_FORMAT_VERSION` 2 (``*.conepkl`` pickles in
 ``cache_dir`` itself) are never opened.
 """
@@ -40,20 +43,18 @@ def _encode(cone):
     return {
         "name": cone.name,
         "counters": list(cone.counters),
-        "signatures": [list(signature) for signature in cone.signatures],
+        "signatures": cone.rows.tolist(),
         "multiplicities": cone.multiplicities,
         "constraints": constraints,
     }
 
 
 def _decode(payload):
-    """The cone a payload encodes; raises on anything malformed."""
-    signatures = payload["signatures"]
-    if not all(type(entry) is int for row in signatures for entry in row):
-        raise ValueError("cone signatures must be integer rows")
+    """The cone a payload encodes; raises on anything malformed (the
+    :class:`ModelCone` constructor checks the signatures)."""
     cone = ModelCone(
         payload["counters"],
-        signatures,
+        payload["signatures"],
         name=payload["name"],
         multiplicities=payload["multiplicities"],
     )

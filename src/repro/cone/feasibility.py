@@ -151,7 +151,7 @@ def _point_result(model_cone, vector, backend, batch=None):
         # Counters are non-negative (Appendix A); no flow can explain a
         # negative observation.
         return FeasibilityResult(False)
-    if not model_cone.signatures:
+    if not model_cone.n_paths:
         feasible = all(value == 0 for value in vector)
         return FeasibilityResult(
             feasible, flows=[] if feasible else None,
@@ -162,13 +162,20 @@ def _point_result(model_cone, vector, backend, batch=None):
     if backend != "exact":
         raise LPError("unknown LP backend %r" % (backend,))
     if batch is None:
-        from repro.lp.membership import MembershipBatch
-
-        batch = MembershipBatch(model_cone.signatures)
+        batch = _membership_batch(model_cone)
     feasible, flows = batch.test(vector)
     if not feasible:
         return FeasibilityResult(False)
     return FeasibilityResult(True, flows=flows, witness=list(vector))
+
+
+def _membership_batch(model_cone):
+    """A :class:`~repro.lp.membership.MembershipBatch` fed from the cone's
+    cached float matrix. Its HiGHS model is built at the first point that
+    reaches an LP and is never cached on the cone."""
+    from repro.lp.membership import MembershipBatch
+
+    return MembershipBatch(model_cone.signatures, array=model_cone.signature_array())
 
 
 def region_boxes(region, n):
@@ -239,13 +246,7 @@ def test_points_feasibility(model_cone, observations, backend="exact"):
     each the one :func:`test_point_feasibility` returns for it.
     """
     vectors = [model_cone.vector_from_observation(o) for o in observations]
-    batch = None
-    if backend == "exact":
-        from repro.lp.membership import MembershipBatch
-
-        # One HiGHS model for the call, built at the first cell that
-        # reaches an LP; never cached on the cone (see repro.lp.membership).
-        batch = MembershipBatch(model_cone.signatures)
+    batch = _membership_batch(model_cone) if backend == "exact" else None
     tracer = get_tracer()
     results = []
     for vector in vectors:

@@ -22,6 +22,8 @@ weights, estimates are strongly correlated — the structure
 CounterPoint's correlated confidence regions exploit (Section 4).
 """
 
+import numbers
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -60,10 +62,14 @@ class MultiplexingSimulator:
         jitter=0.01,
         seed=0,
     ):
-        if n_physical < 1:
-            raise ConfigurationError("need at least one physical counter")
-        if slices_per_interval < 1:
-            raise ConfigurationError("need at least one slice per interval")
+        for name, value in (
+            ("n_physical", n_physical), ("slices_per_interval", slices_per_interval)
+        ):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < 1:
+                raise ConfigurationError(
+                    "%s must be a positive integer, got %r" % (name, value)
+                )
         for name, value in (("phase_noise", phase_noise), ("jitter", jitter)):
             if not (np.isfinite(value) and value >= 0):
                 raise ConfigurationError(
@@ -154,7 +160,13 @@ class MultiplexingSimulator:
 
     def noise_profile(self, true_counts, n_intervals=200):
         """Standard deviation of the estimates of a steady workload —
-        the Figure 1c noise metric — per counter."""
+        the Figure 1c noise metric — per counter, over ``n_intervals``
+        intervals (at least two: the sample standard deviation of one
+        interval is undefined)."""
+        if not isinstance(n_intervals, numbers.Integral) or n_intervals < 2:
+            raise ConfigurationError(
+                "a noise profile needs at least two intervals, got %r" % (n_intervals,)
+            )
         matrix = np.tile(np.asarray(true_counts, dtype=float), (n_intervals, 1))
         estimates = self.observe_run(matrix)
         return estimates.std(axis=0, ddof=1)

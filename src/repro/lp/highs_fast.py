@@ -67,7 +67,6 @@ from repro.errors import LPError
 
 try:  # scipy-private HiGHS bindings; absence just disables the fast path
     import scipy.optimize._highspy._core as _core
-    from scipy.sparse import csc_matrix as _csc_matrix
 
     _HIGHS_OK = hasattr(_core, "_Highs") and hasattr(_core, "HighsLp")
 except ImportError:  # pragma: no cover - depends on scipy build
@@ -85,6 +84,18 @@ def highs_available():
     return _HIGHS_OK
 
 
+def _compressed_columns(matrix):
+    """``(starts, rows, values)``: the non-zero entries of the 2-D float
+    ``matrix`` column by column, row indices ascending within a column —
+    the ``indptr``, ``indices`` and ``data`` of
+    ``scipy.sparse.csc_matrix(matrix)``, without building one, which
+    costs more than the rest of a small model's load."""
+    columns, rows = np.nonzero(matrix.T)
+    starts = np.zeros(matrix.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(columns, minlength=matrix.shape[1]), out=starts[1:])
+    return starts, rows, matrix[rows, columns]
+
+
 def _load(matrix, row_lower, row_upper, options=()):
     """A HiGHS handle, output off and ``options`` set, holding
     ``row_lower <= matrix x <= row_upper`` with ``x >= 0`` and zero
@@ -99,11 +110,11 @@ def _load(matrix, row_lower, row_upper, options=()):
     lp.col_upper_ = np.full(lp.num_col_, solver.getInfinity())
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
-    sparse = _csc_matrix(matrix)
+    starts, rows, values = _compressed_columns(matrix)
     lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = sparse.indptr.astype(np.int64)
-    lp.a_matrix_.index_ = sparse.indices.astype(np.int64)
-    lp.a_matrix_.value_ = sparse.data.astype(float)
+    lp.a_matrix_.start_ = starts
+    lp.a_matrix_.index_ = rows.astype(np.int64)
+    lp.a_matrix_.value_ = values.astype(float)
     if solver.passModel(lp) == _core.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the model")
     return solver
@@ -286,12 +297,12 @@ class FeasibilityModel:
     def _add(self, columns):
         """Load matrix ``columns`` into the HiGHS model, at ``[0, inf)``;
         false when HiGHS rejects them."""
-        sparse = _csc_matrix(self._matrix[:, columns])
+        starts, rows, values = _compressed_columns(self._matrix[:, columns])
         count = len(columns)
         status = self._solver.addCols(
             count, np.zeros(count), np.zeros(count), np.full(count, self._infinity),
-            sparse.nnz, sparse.indptr[:-1].astype(np.int32),
-            sparse.indices.astype(np.int32), sparse.data.astype(float),
+            len(values), starts[:-1].astype(np.int32),
+            rows.astype(np.int32), values.astype(float),
         )
         if status == _core.HighsStatus.kError:
             return False

@@ -180,20 +180,28 @@ def _simplex_membership(generators, point):
 class MembershipBatch:
     """Membership questions against one generator set.
 
-    ``generators`` are int sequences (the columns of ``G``). One HiGHS
-    model serves every question: ``model`` when given, else one built at
-    the first question the shortcuts leave open (``None`` when the
-    bindings are unavailable, in which case every solve falls back).
+    ``generators`` are int sequences (the columns of ``G``), against
+    which certificates are checked exactly. ``array``, when given, is
+    ``G`` as a float ``N x P`` array (read, never written), such as
+    :meth:`~repro.cone.model_cone.ModelCone.signature_array`; the batch
+    then takes its touched coordinates and its HiGHS input from it. One
+    HiGHS model serves every question: ``model`` when given, else one
+    built at the first question the shortcuts leave open (``None`` when
+    the bindings are unavailable, in which case every solve falls back).
     The model lives as long as the batch; keep a batch to one call and
     one thread.
     """
 
-    def __init__(self, generators, model=None):
+    def __init__(self, generators, model=None, array=None):
         self.generators = generators
-        self._touched = {
-            coord for coord, column in enumerate(zip(*generators))
-            if any(column)
-        }
+        if array is None:
+            self._touched = {
+                coord for coord, column in enumerate(zip(*generators))
+                if any(column)
+            }
+        else:
+            self._touched = set(array.any(axis=1).nonzero()[0].tolist())
+        self._array = array
         self._model = _UNBUILT if model is None else model
 
     def model(self):
@@ -203,9 +211,10 @@ class MembershipBatch:
 
             from repro.lp.highs_fast import make_feasibility_model
 
-            self._model = make_feasibility_model(
-                np.array(self.generators, dtype=float).T
-            )
+            array = self._array
+            if array is None:
+                array = np.array(self.generators, dtype=float).T
+            self._model = make_feasibility_model(array)
         return self._model
 
     def test(self, point):

@@ -14,14 +14,15 @@ readable reference; :func:`signature_matrix` reaches the same signatures,
 in the same order, by a memoized fold that never enumerates paths.
 """
 
-import struct
 from operator import itemgetter
+
+import numpy as np
 
 from repro.errors import MuDDError
 from repro.mudd.graph import COUNTER, DECISION, END, MuDD
 
-#: Packed-signature field sizes in bytes, with their ``struct`` codes.
-_FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+#: Packed-signature field sizes in bytes, with their little-endian dtypes.
+_FIELDS = tuple((size, np.dtype("<u%d" % size)) for size in (1, 2, 4, 8))
 
 
 class MuPath:
@@ -136,7 +137,10 @@ def signature_matrix(mudd, counters=None, max_paths=2000000, with_multiplicity=F
 
     During the fold a signature is one int with a byte-aligned field per
     counter, wide enough for the µDD's COUNTER-node count so no field
-    carries into the next; a COUNTER shift is then one int add.
+    carries into the next; a COUNTER shift is then one int add. The
+    packed survivors are joined into one little-endian buffer and read
+    as the matrix at that field width, so no signature is unpacked on
+    its own.
 
     Parameters
     ----------
@@ -158,21 +162,25 @@ def signature_matrix(mudd, counters=None, max_paths=2000000, with_multiplicity=F
 
     Returns
     -------
-    ``(counters, signatures)`` where ``signatures`` is a list of distinct
-    integer tuples — plus a parallel ``multiplicities`` list when
-    ``with_multiplicity`` is true.
+    ``(counters, signatures)`` where ``signatures`` is a read-only
+    ``(P, N)`` int64 :class:`numpy.ndarray`, one row per distinct
+    signature and one column per counter — plus a parallel
+    ``multiplicities`` list of ints when ``with_multiplicity`` is true.
+    Exact arithmetic wants Python ints: convert rows with
+    ``signatures.tolist()``.
     """
     if not isinstance(mudd, MuDD):
         raise MuDDError("signature_matrix expects a MuDD")
     counters = list(mudd.counters if counters is None else counters)
     index = {name: position for position, name in enumerate(counters)}
     counter_nodes = sum(node.kind == COUNTER for node in mudd.nodes.values())
-    size, code = next(field for field in _FIELDS if counter_nodes < 256 ** field[0])
+    size, field = next(field for field in _FIELDS if counter_nodes < 256 ** field[0])
     increments = {name: 1 << (8 * size * position) for name, position in index.items()}
     suffixes = _fold(mudd, increments, max_paths)
-    unpack = struct.Struct("<%d%s" % (len(counters), code)).unpack
     length = size * len(counters)
-    signatures = [unpack(packed.to_bytes(length, "little")) for packed in suffixes]
+    packed = b"".join([signature.to_bytes(length, "little") for signature in suffixes])
+    signatures = np.ndarray((len(suffixes), len(counters)), field, packed).astype(np.int64)
+    signatures.flags.writeable = False
     if with_multiplicity:
         return counters, signatures, list(suffixes.values())
     return counters, signatures

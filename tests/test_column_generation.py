@@ -480,6 +480,33 @@ def test_point_spans_count_runs_and_columns(backend):
     assert 3 == columns[0] < columns[1] <= len(NON_NEGATIVE)
 
 
+def test_compressed_columns_are_scipy_csc_arrays():
+    """HiGHS is loaded from numpy-built compressed columns; they must be
+    the arrays ``scipy.sparse.csc_matrix`` holds, entry for entry, so
+    every model HiGHS sees is unchanged: C- and F-ordered matrices,
+    column subsets, empty and all-zero shapes, signed zeros."""
+    from scipy.sparse import csc_matrix
+
+    rng = np.random.default_rng(BASE_SEED + 40_000)
+    for case in range(400):
+        n_rows, n_cols = rng.integers(0, 9, size=2)
+        matrix = rng.integers(-3, 4, size=(n_rows, n_cols)).astype(float)
+        matrix *= rng.random((n_rows, n_cols)) < rng.random()
+        if case % 2:
+            matrix = np.asfortranarray(matrix)
+        if case % 5 == 0 and n_cols:
+            matrix[:, 0] = -0.0
+        if case % 7 == 0 and n_cols > 2:
+            matrix = matrix[:, [2, 0]]
+        expected = csc_matrix(matrix)
+        starts, rows, values = highs_fast._compressed_columns(matrix)
+        context = "case=%d (SIM_EQUIV_SEED=%d)\n%r" % (case, BASE_SEED, matrix)
+        assert np.array_equal(starts, expected.indptr), context
+        assert np.array_equal(rows, expected.indices), context
+        assert np.array_equal(values, expected.data), context
+        assert np.array_equal(np.signbit(values), np.signbit(expected.data)), context
+
+
 def test_narrow_models_load_every_column_and_run_once():
     """The bundled DSL models' cones are narrow: one HiGHS run per
     point, every column loaded."""

@@ -116,6 +116,43 @@ class TestMultiplexing:
         with pytest.raises(ConfigurationError):
             MultiplexingSimulator(slices_per_interval=0)
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("n_physical", 2.5),
+            ("n_physical", 4.0),
+            ("n_physical", "4"),
+            ("n_physical", True),
+            ("slices_per_interval", 2.5),
+            ("slices_per_interval", None),
+        ],
+    )
+    def test_non_integer_geometry_fails_at_construction(self, option, value):
+        # A fractional slot count used to build and then fail inside
+        # the first observe_run's schedule with a TypeError.
+        with pytest.raises(ConfigurationError, match="%s must be a positive integer" % option):
+            MultiplexingSimulator(**{option: value})
+
+    def test_numpy_integer_geometry_is_accepted(self):
+        sim = MultiplexingSimulator(n_physical=np.int64(2), slices_per_interval=np.int32(6))
+        assert sim.observe_run(np.ones((3, 4))).shape == (3, 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_intervals", [1, 0, -3, 2.5])
+    def test_noise_profile_needs_two_intervals(self, n_intervals):
+        # One interval has no sample standard deviation: the profile
+        # used to come back all-nan, with a numpy RuntimeWarning.
+        sim = MultiplexingSimulator(n_physical=4, seed=3)
+        with pytest.raises(ConfigurationError, match="at least two intervals"):
+            sim.noise_profile([1000.0] * 8, n_intervals=n_intervals)
+
+    @pytest.mark.filterwarnings("error")
+    def test_noise_profile_of_two_intervals_is_finite(self):
+        noise = MultiplexingSimulator(n_physical=4, seed=3).noise_profile(
+            [1000.0] * 8, n_intervals=2
+        )
+        assert noise.shape == (8,) and np.isfinite(noise).all()
+
     def test_observe_run_shape_check(self):
         sim = MultiplexingSimulator()
         with pytest.raises(ConfigurationError):

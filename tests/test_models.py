@@ -111,7 +111,7 @@ class TestModelBuilders:
         mudd = build_haswell_mudd(M_SERIES["m0"])
         counters, signatures = signature_matrix(mudd, counters=ALL_COUNTERS)
         index = {name: position for position, name in enumerate(counters)}
-        for signature in signatures:
+        for signature in signatures.tolist():
             # m0: every µop causes at most one walk, and pde misses
             # never exceed walks (the Figure 6b world).
             assert signature[index["load.pde$_miss"]] <= signature[index["load.causes_walk"]]
@@ -122,7 +122,7 @@ class TestModelBuilders:
         index = {name: position for position, name in enumerate(counters)}
         assert any(
             signature[index["load.pde$_miss"]] > signature[index["load.causes_walk"]]
-            for signature in signatures
+            for signature in signatures.tolist()
         )
 
     def test_prefetch_paths_have_no_walk_done(self):
@@ -135,7 +135,7 @@ class TestModelBuilders:
             sum(sig[r] for r in refs) > 0
             and sig[index["load.causes_walk"]] == 0
             and sig[index["store.causes_walk"]] == 0
-            for sig in signatures
+            for sig in signatures.tolist()
         )
 
     def test_model_cone_cache(self):
@@ -165,7 +165,7 @@ class TestModelBuilders:
         counters, signatures = signature_matrix(mudd, counters=ALL_COUNTERS)
         index = {name: position for position, name in enumerate(counters)}
         refs = [index["walk_ref.%s" % level] for level in ("l1", "l2", "l3", "mem")]
-        for signature in signatures:
+        for signature in signatures.tolist():
             done = signature[index["load.walk_done"]] + signature[index["store.walk_done"]]
             if done:
                 assert sum(signature[r] for r in refs) >= done

@@ -186,7 +186,7 @@ class TestBatch:
         counters, signatures = signature_matrix(mudd)
         names, matrix, probabilities = path_distribution(mudd)
         assert names == counters
-        assert sorted(map(tuple, matrix)) == sorted(signatures)
+        assert sorted(map(tuple, matrix)) == sorted(map(tuple, signatures.tolist()))
         assert probabilities.min() > 0
         assert abs(probabilities.sum() - 1.0) < 1e-12
 

@@ -46,7 +46,7 @@ class TestDslPrinter:
         roundtrip = signature_matrix(
             compile_dsl(text)
         )
-        assert sorted(original[1]) == sorted(roundtrip[1])
+        assert sorted(original[1].tolist()) == sorted(roundtrip[1].tolist())
         assert original[0] == roundtrip[0]
         del reparsed
 
@@ -67,8 +67,8 @@ class TestDslPrinter:
         reparsed = parse_program(text)
         from repro.mudd import compile_program
 
-        original = sorted(signature_matrix(compile_program(program), counters=["c1", "c2", "c3"])[1])
-        again = sorted(signature_matrix(compile_program(reparsed), counters=["c1", "c2", "c3"])[1])
+        original = sorted(signature_matrix(compile_program(program), counters=["c1", "c2", "c3"])[1].tolist())
+        again = sorted(signature_matrix(compile_program(reparsed), counters=["c1", "c2", "c3"])[1].tolist())
         assert original == again
 
     def test_rejects_non_statement(self):

@@ -50,11 +50,14 @@ def _encode(cone):
 
 
 def _decode(payload):
-    """The cone a payload encodes; raises on anything malformed (the
-    :class:`ModelCone` constructor checks the signatures)."""
+    """The cone a payload encodes; raises on anything malformed."""
+    signatures = payload["signatures"]
+    # numpy would read a JSON true beside integers as 1.
+    if not all(type(entry) is int for row in signatures for entry in row):
+        raise ValueError("cone signatures must be integer rows")
     cone = ModelCone(
         payload["counters"],
-        payload["signatures"],
+        signatures,
         name=payload["name"],
         multiplicities=payload["multiplicities"],
     )

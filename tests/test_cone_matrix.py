@@ -11,7 +11,8 @@ matrix. These tests check:
   round trip, pickle) has one fingerprint and equal signatures, and
   every signature entry is a Python ``int`` — an ``np.int64`` in exact
   arithmetic would wrap silently, and ``Fraction(np.int64(3))`` keeps
-  the numpy type in its numerator;
+  the numpy type in its numerator; a disk entry with a count that is
+  not a Python int within int64 is a miss;
 * the fold's field widths: 4-byte fields (at least 65,536 COUNTER
   nodes) against the depth-first walk;
 * constructor input: every malformed signature input is refused with an
@@ -119,14 +120,17 @@ def test_pickle_drops_the_tuple_view_and_keeps_the_matrix_read_only():
     assert clone.signatures == cone.signatures
 
 
-def test_disk_entry_with_a_count_beyond_int64_is_a_miss(tmp_path):
+@pytest.mark.parametrize("count", [2**70, True, 1.0])
+def test_disk_entry_with_a_foreign_count_is_a_miss(tmp_path, count):
+    # 2**70 does not fit in int64; numpy would read a JSON true beside
+    # integers as 1, and 1.0 as a float row.
     mudd = _mudd("merging_load_side")
     cache = ModelConeCache(disk=str(tmp_path))
     cone = cache.get(mudd)
     disk = DiskConeCache(str(tmp_path))
     entry = "%s-%d" % (mudd_fingerprint(mudd), 2000000)
     payload = disk.store.get("cone", entry)
-    payload["signatures"][0][0] = 2**70
+    payload["signatures"][0][0] = count
     disk.store.put("cone", entry, payload)
 
     assert DiskConeCache(str(tmp_path)).get((mudd_fingerprint(mudd), 2000000)) is None

@@ -84,6 +84,9 @@ class CacheHierarchy:
     """
 
     LEVELS = ("l1", "l2", "l3")
+    # Every level that can serve an access, nearest first: the order of
+    # the walk_ref counters and of the levels in a RefMix label.
+    SERVING_LEVELS = LEVELS + (MEMORY_LEVEL,)
 
     def __init__(self, l1=None, l2=None, l3=None):
         self.l1 = l1 or SetAssociativeCache(32 * 1024, 8, name="L1D")
@@ -105,10 +108,6 @@ class CacheHierarchy:
         """Pre-touch addresses (e.g. to model warmed page-table lines)."""
         for address in addresses:
             self.access(address)
-
-    def reset_stats(self):
-        for cache in (self.l1, self.l2, self.l3):
-            cache.reset_stats()
 
     def __repr__(self):
         return "CacheHierarchy(L1=%r, L2=%r, L3=%r)" % (self.l1, self.l2, self.l3)

@@ -13,21 +13,13 @@ builds the standard one-feature-removed configuration set.
 """
 
 from repro.errors import ConfigurationError
-from repro.mmu.config import MMUConfig
+from repro.mmu.config import FEATURE_OPTIONS, MMUConfig
 from repro.mmu.core import MMUSimulator
-
-_FEATURE_TO_OPTION = {
-    "TlbPf": "prefetcher",
-    "EarlyPsc": "early_psc",
-    "Merging": "merging",
-    "Pml4eCache": "pml4e_cache",
-    "WalkBypass": "walk_replay",
-}
 
 
 def config_without(feature, **overrides):
     """Full-Haswell configuration with one Table 4 feature disabled."""
-    option = _FEATURE_TO_OPTION.get(feature)
+    option = FEATURE_OPTIONS.get(feature)
     if option is None:
         raise ConfigurationError("unknown ablatable feature %r" % (feature,))
     options = {option: False}
@@ -39,7 +31,7 @@ def feature_ablations(**overrides):
     """``{label: MMUConfig}`` for full hardware plus each single-feature
     ablation."""
     configurations = {"full": MMUConfig.full_haswell(**overrides)}
-    for feature in _FEATURE_TO_OPTION:
+    for feature in FEATURE_OPTIONS:
         configurations["no-%s" % feature] = config_without(feature, **overrides)
     return configurations
 

@@ -26,6 +26,15 @@ class PageSize:
 
 PAGE_SIZES = (PageSize.SIZE_4K, PageSize.SIZE_2M, PageSize.SIZE_1G)
 
+# The MMUConfig option that switches each Table 3 feature, in table order.
+FEATURE_OPTIONS = {
+    "TlbPf": "prefetcher",
+    "EarlyPsc": "early_psc",
+    "Merging": "merging",
+    "Pml4eCache": "pml4e_cache",
+    "WalkBypass": "walk_replay",
+}
+
 
 class MMUConfig:
     """Geometry and feature set of the simulated MMU.
@@ -137,15 +146,25 @@ class MMUConfig:
         options.update(overrides)
         return cls(**options)
 
+    @classmethod
+    def for_features(cls, features, **overrides):
+        """The MMU with exactly the Table 3 ``features`` on — the
+        hardware an m-series µDD of that feature set describes. Any
+        other option comes from ``overrides``."""
+        features = frozenset(features)
+        unknown = features - FEATURE_OPTIONS.keys()
+        if unknown:
+            raise ConfigurationError(
+                "unknown Table 3 features %s (known: %s)"
+                % (", ".join(sorted(map(repr, unknown))), ", ".join(FEATURE_OPTIONS))
+            )
+        options = {option: feature in features for feature, option in FEATURE_OPTIONS.items()}
+        options.update(overrides)
+        return cls(**options)
+
     def feature_set(self):
         """The Table 3 feature vector of this configuration."""
-        return {
-            "TlbPf": self.prefetcher,
-            "EarlyPsc": self.early_psc,
-            "Merging": self.merging,
-            "Pml4eCache": self.pml4e_cache,
-            "WalkBypass": self.walk_replay,
-        }
+        return {feature: getattr(self, option) for feature, option in FEATURE_OPTIONS.items()}
 
     def __repr__(self):
         flags = ", ".join(

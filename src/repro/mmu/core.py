@@ -27,7 +27,6 @@ mechanisms, not hand-tuned counts, produce the observation dataset):
 
 from repro.errors import SimulationError
 from repro.cache import CacheHierarchy
-from repro.cache.cache import MEMORY_LEVEL
 from repro.counters.events import HASWELL_MMU_EVENTS
 from repro.mmu.config import MMUConfig, PageSize
 from repro.mmu.paging import (
@@ -45,9 +44,7 @@ from repro.mmu.tlb import L1DTLB, STLB
 _LEVEL_SHIFTS = {"pml4": PML4_SHIFT, "pdpt": PDPT_SHIFT, "pd": PD_SHIFT, "pt": PT_SHIFT}
 
 # The counter a walker load increments, by the cache level serving it.
-_WALK_REF_KEYS = {
-    level: "walk_ref." + level for level in CacheHierarchy.LEVELS + (MEMORY_LEVEL,)
-}
+_WALK_REF_KEYS = {level: "walk_ref." + level for level in CacheHierarchy.SERVING_LEVELS}
 
 
 class MemoryOp:
@@ -280,9 +277,7 @@ class MMUSimulator:
         if plan is None:
             plan = self._probe_pscs(op.vaddr, kind)
 
-        self._start_walk(op.vaddr, vpn, kind, op.retires, plan)
-
-    def _start_walk(self, vaddr, vpn, kind, retires, plan):
+        # Start a walk.
         self.counters[self._keys[kind].causes_walk] += 1
         # Walk replay ("walk bypassing"): a speculative walk that finds
         # the leaf accessed bit unset must set it non-speculatively, so
@@ -292,16 +287,22 @@ class MMUSimulator:
         # Replayed walks still read the page table (non-speculatively, at
         # retirement) — they warm the caches and PSCs — but their loads
         # carry attributes the walk_ref counters do not capture.
-        self._do_walk_references(vaddr, plan, count_refs=not replayed)
+        self._do_walk_references(op.vaddr, plan, count_refs=not replayed)
+        self._enqueue_walk(vpn, kind).waiters.append((kind, op.retires))
+
+    def _enqueue_walk(self, vpn, kind):
+        """Hold a new walk of ``vpn`` in an MSHR, due walk_latency_ops
+        ticks from now, and return it. When every MSHR is busy, the
+        oldest walk (the head) completes first."""
         outstanding = self._outstanding
         if len(outstanding) >= self.config.mshr_entries:
-            # MSHRs full: complete the oldest walk (the head) immediately.
             oldest = next(iter(outstanding.values()))
             del outstanding[oldest.vpn]
             self._complete_walk(oldest)
-        walk = _OutstandingWalk(vpn, self.tick + self.config.walk_latency_ops, kind)
-        walk.waiters.append((kind, retires))
-        outstanding[vpn] = walk
+        walk = outstanding[vpn] = _OutstandingWalk(
+            vpn, self.tick + self.config.walk_latency_ops, kind
+        )
+        return walk
 
     def _complete_due_walks(self):
         """Complete the walks due by now: a prefix of ``_outstanding``."""
@@ -377,9 +378,7 @@ class MMUSimulator:
         bit, and on success fills both TLB levels. Never increments
         ``causes_walk`` or ``walk_done``.
         """
-        if self._l1.lookup(target_vpn) or self.stlb.lookup(target_vpn, self.page_size):
-            return
-        if target_vpn in self._outstanding:
+        if self._translated(target_vpn):
             return
         vaddr = target_vpn * self._page_bytes
         plan = self._probe_pscs(vaddr, "load")
@@ -388,3 +387,12 @@ class MMUSimulator:
             return  # abort: accessed bit unset; no fill, no completion
         self._l1.insert(target_vpn)
         self.stlb.insert(target_vpn, self.page_size)
+
+    def _translated(self, vpn):
+        """Is ``vpn`` in a TLB (a hit refreshes its LRU place) or being
+        walked? A prefetch for such a page is dropped."""
+        return (
+            self._l1.lookup(vpn)
+            or self.stlb.lookup(vpn, self.page_size)
+            or vpn in self._outstanding
+        )

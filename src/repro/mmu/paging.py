@@ -94,9 +94,6 @@ class PageTable:
     def set_accessed(self, vpn):
         self._accessed.add(vpn)
 
-    def clear_accessed_bits(self):
-        self._accessed.clear()
-
 
 class PagingStructureCache:
     """A small fully-associative LRU cache of non-leaf entries.
@@ -152,9 +149,6 @@ class PagingStructureCache:
         self._cache.move_to_end(key)
         if len(self._cache) > self.entries:
             self._cache.popitem(last=False)
-
-    def invalidate_all(self):
-        self._cache.clear()
 
     def __repr__(self):
         return "PagingStructureCache(%s, %d entries, enabled=%r)" % (

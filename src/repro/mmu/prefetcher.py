@@ -68,8 +68,3 @@ class PrefetchTrigger:
             return None  # one prefetch per crossing prediction
         self._last_triggered_target = target
         return target
-
-    def reset(self):
-        self._last_frame = None
-        self._last_line = None
-        self._last_triggered_target = None

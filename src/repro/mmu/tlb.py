@@ -47,10 +47,6 @@ class TLBArray:
         if len(entries) > self.ways:
             entries.popitem(last=False)
 
-    def invalidate_all(self):
-        for entries in self._sets:
-            entries.clear()
-
     def __repr__(self):
         return "TLBArray(%s: %d sets x %d ways)" % (self.name, self.n_sets, self.ways)
 
@@ -77,10 +73,6 @@ class L1DTLB:
     def insert(self, vpn, page_size):
         self.arrays[page_size].insert(vpn)
 
-    def invalidate_all(self):
-        for array in self.arrays.values():
-            array.invalidate_all()
-
 
 class STLB:
     """Second-level (shared) TLB: holds 4 KB and 2 MB translations.
@@ -104,6 +96,3 @@ class STLB:
         if page_size not in self.CACHEABLE:
             return
         self.array.insert(vpn * 2 + (0 if page_size == PageSize.SIZE_4K else 1))
-
-    def invalidate_all(self):
-        self.array.invalidate_all()

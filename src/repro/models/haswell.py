@@ -32,6 +32,7 @@ Modelling notes
 
 from itertools import combinations_with_replacement
 
+from repro.cache import CacheHierarchy
 from repro.cone import shared_cache
 from repro.counters.events import HASWELL_MMU_EVENTS
 from repro.errors import ConfigurationError
@@ -46,8 +47,6 @@ from repro.models.features import (
 )
 
 ALL_COUNTERS = [event.name for event in HASWELL_MMU_EVENTS]
-
-REF_LEVELS = ("l1", "l2", "l3", "mem")
 
 PAGE_SIZES = ("4k", "2m", "1g")
 
@@ -72,7 +71,7 @@ def _refs_multiset(count, prefix):
     if count == 0:
         return Pass()
     branches = {}
-    for combo in combinations_with_replacement(REF_LEVELS, count):
+    for combo in combinations_with_replacement(CacheHierarchy.SERVING_LEVELS, count):
         label = "_".join(combo)
         branches[label] = Seq([Incr("walk_ref.%s" % level) for level in combo])
     return Switch("%sRefMix%d" % (prefix, count), branches)

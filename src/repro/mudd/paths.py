@@ -68,12 +68,25 @@ def enumerate_mupaths(mudd, max_paths=100000):
         raise MuDDError("enumerate_mupaths expects a MuDD")
     start = mudd.start_node()
     paths = []
-    # Depth-first with explicit stack: (node_id, path_nodes, assignments, counts)
-    stack = [(start.node_id, [start.node_id], {}, {})]
+    # Depth-first with an explicit stack of (node_id, trail, assignments),
+    # where a trail is the path so far as a linked list of parent
+    # pointers, (node_id, parent trail). A step adds one pair, so a path
+    # costs its length once, when END builds its MuPath.
+    stack = [(start.node_id, (start.node_id, None), {})]
     while stack:
-        node_id, path_nodes, assignments, counts = stack.pop()
+        node_id, trail, assignments = stack.pop()
         node = mudd.nodes[node_id]
         if node.kind == END:
+            path_nodes = []
+            while trail is not None:
+                path_nodes.append(trail[0])
+                trail = trail[1]
+            path_nodes.reverse()
+            counts = {}
+            for path_node in path_nodes:
+                step = mudd.nodes[path_node]
+                if step.kind == COUNTER:
+                    counts[step.label] = counts.get(step.label, 0) + 1
             paths.append(MuPath(path_nodes, assignments, counts))
             if len(paths) > max_paths:
                 raise MuDDError("µDD has more than %d µpaths" % (max_paths,))
@@ -103,19 +116,7 @@ def enumerate_mupaths(mudd, max_paths=100000):
             edges_to_follow = [(out[0], assignments)]
 
         for edge, branch_assignments in edges_to_follow:
-            target = mudd.nodes[edge.target]
-            branch_counts = counts
-            if target.kind == COUNTER:
-                branch_counts = dict(counts)
-                branch_counts[target.label] = branch_counts.get(target.label, 0) + 1
-            stack.append(
-                (
-                    edge.target,
-                    path_nodes + [edge.target],
-                    branch_assignments,
-                    branch_counts,
-                )
-            )
+            stack.append((edge.target, (edge.target, trail), branch_assignments))
     return paths
 
 

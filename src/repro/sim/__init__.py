@@ -14,8 +14,8 @@ Layer map
 * :mod:`repro.sim.oracles` — decision resolvers: seeded
   :class:`RandomOracle`, scripted :class:`TableOracle`, and the
   device-backed :class:`MMUOracle` that answers the Haswell model
-  vocabulary from live :mod:`repro.mmu` components over real address
-  traces.
+  vocabulary on a live :class:`repro.mmu.MMUSimulator` over real
+  address traces.
 * :mod:`repro.sim.batch` — the vectorised fast path: a run under a
   random oracle is a multinomial draw over µpath signatures, so whole
   trace batches and model sweeps reduce to one matrix multiply

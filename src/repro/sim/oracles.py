@@ -13,10 +13,11 @@ hardware would take. Three families are provided:
   for scripted, fully deterministic runs.
 * :class:`MMUOracle` — the closed-loop device oracle: resolves the
   Haswell model vocabulary (``L1TlbStatus``, ``StlbStatus``,
-  ``Pde$Status``, ``Merged``, ``RefMix<n>``, ``WalkReplayed``, ...)
-  against live :mod:`repro.mmu` components — real TLB arrays, paging
-  structure caches, the synthetic page table, the data-cache hierarchy
-  and the LSQ prefetch-trigger detector — so executing a µDD over an
+  ``Pde$Status``, ``Merged``, ``RefMix<n>``, ``WalkReplayed``, ...) on
+  the devices of one :class:`~repro.mmu.core.MMUSimulator`, reachable
+  as ``oracle.mmu`` — its TLB arrays, paging-structure caches,
+  synthetic page table, data-cache hierarchy, LSQ prefetch-trigger
+  detector, walk plans and MSHR queue — so executing a µDD over an
   address trace produces counter totals shaped by genuine locality.
 
 Every oracle implements ``resolve(prop, values, op)`` where ``values``
@@ -34,13 +35,8 @@ import re
 from repro.cache import CacheHierarchy
 from repro.errors import SimulationError
 from repro.mmu.config import MMUConfig, PageSize
-from repro.mmu.paging import PageTable, PagingStructureCache
-from repro.mmu.prefetcher import PrefetchTrigger
-from repro.mmu.tlb import L1DTLB, STLB
-
-# Serving-level order used by the RefMix multiset labels
-# (matches repro.models.haswell.REF_LEVELS).
-_REF_LEVEL_ORDER = {"l1": 0, "l2": 1, "l3": 2, "mem": 3}
+from repro.mmu.core import MMUSimulator
+from repro.mmu.paging import ENTRY_BYTES
 
 _REFMIX_RE = re.compile(r"^(?P<prefix>[A-Za-z]*?)RefMix(?P<count>\d+)$")
 
@@ -137,15 +133,18 @@ class PrefetchUop:
 
 
 class MMUOracle(Oracle):
-    """Resolves the Haswell model vocabulary against live MMU devices.
+    """Resolves the Haswell model vocabulary on a live MMU.
 
-    The oracle owns the same component set as
-    :class:`repro.mmu.core.MMUSimulator` — TLB arrays, PSCs, page table,
-    cache hierarchy, prefetch trigger — but performs *no counting*: the
-    executed µDD decides what increments. Device side effects are keyed
-    off the resolutions themselves plus the conventional event names the
-    model library emits (``StartWalk`` schedules an outstanding walk;
-    ``PrefetchWalk`` resolves a prefetch against the accessed bit).
+    The oracle drives one :class:`repro.mmu.core.MMUSimulator`,
+    reachable as ``oracle.mmu``. It answers every device question from
+    that simulator's TLB arrays, PSCs, page table, cache hierarchy,
+    prefetch trigger, walk plans and MSHR queue, and ticks it once per
+    µop, but never calls its ``access`` and reads none of its counters:
+    the executed µDD decides what increments. Device side effects are
+    keyed off the resolutions themselves plus the conventional event
+    names the model library emits (``StartWalk`` holds a walk in an
+    MSHR; ``PrefetchWalk`` resolves a prefetch against the accessed
+    bit).
 
     Properties outside the vocabulary are delegated to ``fallback``
     (default: a :class:`RandomOracle` seeded from ``config.seed``), so
@@ -161,27 +160,23 @@ class MMUOracle(Oracle):
         can absorb.
     page_size:
         Page size backing the trace's address space.
+    cache_hierarchy:
+        Optional pre-built :class:`~repro.cache.CacheHierarchy` for
+        walker loads.
     """
 
     def __init__(self, config=None, page_size=PageSize.SIZE_4K, cache_hierarchy=None, fallback=None):
-        self.config = config or MMUConfig.full_haswell()
-        self.page_size = PageSize.validate(page_size)
-        self.page_table = PageTable(page_size)
-        self.l1_tlb = L1DTLB(self.config)
-        self.stlb = STLB(self.config)
-        self.pscs = {
-            "pd": PagingStructureCache("pd", self.config.pde_cache_entries),
-            "pdpt": PagingStructureCache("pdpt", self.config.pdpte_cache_entries),
-            "pml4": PagingStructureCache(
-                "pml4", self.config.pml4e_cache_entries, enabled=self.config.pml4e_cache
-            ),
-        }
-        self.caches = cache_hierarchy or CacheHierarchy()
-        self.prefetch_trigger = PrefetchTrigger()
+        self.mmu = MMUSimulator(config, page_size=page_size, cache_hierarchy=cache_hierarchy)
+        self.config = self.mmu.config
+        self.page_size = self.mmu.page_size
         self.fallback = fallback or RandomOracle(seed=self.config.seed)
+        # The PSC each status property probes.
+        self._pscs = {
+            "Pde$Status": self.mmu.pde_cache,
+            "Pdpte$Status": self.mmu.pdpte_cache,
+            "Pml4e$Status": self.mmu.pml4e_cache,
+        }
 
-        self.tick = 0
-        self._outstanding = {}  # vpn -> completion tick
         self._op = None
         self._vpn = None
         self._probe_memo = {}
@@ -194,23 +189,17 @@ class MMUOracle(Oracle):
 
     @classmethod
     def for_features(cls, features, page_size=PageSize.SIZE_4K, **overrides):
-        """An oracle whose device set matches a Table 3 feature set, so
-        m-series µDDs execute against matching hardware."""
-        features = frozenset(features)
-        config = MMUConfig(
-            prefetcher="TlbPf" in features,
-            merging="Merging" in features,
-            early_psc="EarlyPsc" in features,
-            pml4e_cache="Pml4eCache" in features,
-            walk_replay="WalkBypass" in features,
-            **overrides
-        )
-        return cls(config, page_size=page_size)
+        """An oracle whose device set matches a Table 3 feature set
+        (:meth:`MMUConfig.for_features`), so m-series µDDs execute
+        against matching hardware."""
+        return cls(MMUConfig.for_features(features, **overrides), page_size=page_size)
 
     # -- per-µop bookkeeping ------------------------------------------------
     def begin_uop(self, op):
-        self.tick += 1
-        self._complete_due_walks()
+        mmu = self.mmu
+        mmu.tick += 1
+        if mmu._outstanding:
+            mmu._complete_due_walks()
         self._op = op
         self._probe_memo = {}
         self._triggered = None
@@ -218,12 +207,10 @@ class MMUOracle(Oracle):
         if isinstance(op, PrefetchUop):
             self._vpn = op.target_vpn
             return
-        self._vpn = self.page_table.vpn(op.vaddr)
+        self._vpn = mmu.page_table.vpn(op.vaddr)
         if op.kind == "load" and self.config.prefetcher:
-            target_vpn = self.prefetch_trigger.observe(
-                op.vaddr, self.page_table.page_bytes
-            )
-            if target_vpn is not None and not self._translation_cached(target_vpn):
+            target_vpn = mmu.prefetch_trigger.observe(op.vaddr, mmu.page_table.page_bytes)
+            if target_vpn is not None and not mmu._translated(target_vpn):
                 self._triggered = target_vpn
 
     def pending_uops(self):
@@ -250,41 +237,34 @@ class MMUOracle(Oracle):
             )
         pf_context = prop.startswith("Pf") and prop != "PfIssued"
         base = prop[2:] if pf_context else prop
+        mmu = self.mmu
         if prop == "UopType":
             self._standalone_prefetch = "TlbPrefetch" in values
             if isinstance(self._op, PrefetchUop):
                 return "TlbPrefetch"
             return "Load" if self._op.kind == "load" else "Store"
         if prop == "L1TlbStatus":
-            if self.l1_tlb.lookup(self._vpn, self.page_size):
-                self.page_table.set_accessed(self._vpn)
+            if mmu._l1.lookup(self._vpn):
+                mmu.page_table.set_accessed(self._vpn)
                 return "Hit"
             return "Miss"
         if prop == "StlbStatus":
-            if self.stlb.lookup(self._vpn, self.page_size):
-                self.l1_tlb.insert(self._vpn, self.page_size)
-                self.page_table.set_accessed(self._vpn)
+            if mmu.stlb.lookup(self._vpn, self.page_size):
+                mmu._l1.insert(self._vpn)
+                mmu.page_table.set_accessed(self._vpn)
                 return "Hit4k" if self.page_size == PageSize.SIZE_4K else "Hit2m"
             return "Miss"
         if base == "PageSize":
             return self.page_size
         if prop == "Merged":
-            merged = self.config.merging and self._vpn in self._outstanding
+            merged = self.config.merging and self._vpn in mmu._outstanding
             return "Yes" if merged else "No"
-        if base == "Pde$Status":
-            return self._probe("pd", pf_context)
-        if base == "Pdpte$Status":
-            return self._probe("pdpt", pf_context)
-        if base == "Pml4e$Status":
-            return self._probe("pml4", pf_context)
+        if base in self._pscs:
+            return self._probe(base, pf_context)
         if prop == "Retires":
-            if isinstance(self._op, PrefetchUop):
-                return "Yes"
-            return "Yes" if self._op.retires else "No"
+            return "Yes" if isinstance(self._op, PrefetchUop) or self._op.retires else "No"
         if prop == "WalkReplayed":
-            replayed = self.config.walk_replay and not self.page_table.is_accessed(
-                self._vpn
-            )
+            replayed = self.config.walk_replay and not mmu.page_table.is_accessed(self._vpn)
             return "Yes" if replayed else "No"
         if prop == "PfIssued":
             # The inline (trigger-model) prefetch. Restricted to retiring
@@ -303,110 +283,64 @@ class MMUOracle(Oracle):
     # -- event side effects -------------------------------------------------
     def on_event(self, name, op):
         if name == "StartWalk":
-            self._start_walk()
+            # Hold the µop's walk in an MSHR until walk_latency_ops µops
+            # later, when it fills both TLB levels and sets the leaf
+            # accessed bit. A page already in flight keeps its walk, and
+            # a prefetch µop's walk resolves at PrefetchWalk.
+            if not isinstance(self._op, PrefetchUop) and self._vpn not in self.mmu._outstanding:
+                self.mmu._enqueue_walk(self._vpn, self._op.kind)
         elif name == "PrefetchWalk":
-            self._resolve_prefetch()
+            # Fill both TLB levels, or abort silently when the target's
+            # accessed bit is unset (the Section 7.1 behaviour).
+            vpn = self._vpn if self._triggered is None else self._triggered
+            if self.mmu.page_table.is_accessed(vpn):
+                self.mmu._l1.insert(vpn)
+                self.mmu.stlb.insert(vpn, self.page_size)
 
     # -- device mechanics ----------------------------------------------------
     def _vaddr(self, pf_context=False):
+        page_bytes = self.mmu.page_table.page_bytes
         if isinstance(self._op, PrefetchUop):
-            return self._op.target_vpn * self.page_table.page_bytes
+            return self._op.target_vpn * page_bytes
         if pf_context and self._triggered is not None:
             # Inline (trigger-model) prefetch: Pf-prefixed properties
             # describe the *target* page's walk, not the µop's own.
-            return self._triggered * self.page_table.page_bytes
+            return self._triggered * page_bytes
         return self._op.vaddr
 
-    def _translation_cached(self, vpn):
-        """Would a prefetch for ``vpn`` be dropped? (already translated
-        or already being walked — MMUSimulator._issue_prefetch's guards)."""
-        return (
-            self.l1_tlb.lookup(vpn, self.page_size)
-            or self.stlb.lookup(vpn, self.page_size)
-            or vpn in self._outstanding
-        )
-
-    def _probe(self, level, pf_context=False):
+    def _probe(self, prop, pf_context=False):
         """Probe one PSC at most once per µop and context (memoised so a
         model that shares the status property between probe and walk
         body sees one consistent outcome)."""
-        memo_key = (level, pf_context)
+        memo_key = (prop, pf_context)
         if memo_key not in self._probe_memo:
-            hit = self.pscs[level].lookup(self._vaddr(pf_context), self.page_size)
+            hit = self._pscs[prop].lookup(self._vaddr(pf_context), self.page_size)
             self._probe_memo[memo_key] = "Hit" if hit else "Miss"
         return self._probe_memo[memo_key]
 
     def _resolve_refmix(self, count, pf_context=False):
-        """Perform ``count`` page-walker loads (the deepest ``count``
-        levels of the walk) and report the serving-level multiset."""
-        vaddr = self._vaddr(pf_context)
-        levels = self.page_table.walk_levels(None)
-        if count > len(levels):
+        """Perform the deepest ``count`` loads of a full walk (the last
+        ``count`` references of its walk plan, filling PSCs as the
+        walker does) and report the serving-level multiset."""
+        plan = self.mmu._walk_plans[None]
+        if count > len(plan):
             raise SimulationError(
                 "model requests %d walker loads but a %s walk reads at most %d"
-                % (count, self.page_size, len(levels))
+                % (count, self.page_size, len(plan))
             )
-        read = levels[len(levels) - count :]
+        vaddr = self._vaddr(pf_context)
+        access = self.mmu.caches.access
         served = []
-        for level in read:
-            served.append(self.caches.access(self.page_table.entry_address(level, vaddr)))
-        self._fill_pscs(vaddr, read)
-        served.sort(key=_REF_LEVEL_ORDER.__getitem__)
+        for shift, base, psc in plan[len(plan) - count :]:
+            served.append(access(base + (vaddr >> shift) * ENTRY_BYTES))
+            if psc is not None:
+                psc.insert(vaddr)
+        served.sort(key=CacheHierarchy.SERVING_LEVELS.index)
         return "_".join(served)
-
-    def _fill_pscs(self, vaddr, levels_read):
-        leaf = {
-            PageSize.SIZE_4K: "pt",
-            PageSize.SIZE_2M: "pd",
-            PageSize.SIZE_1G: "pdpt",
-        }[self.page_size]
-        for level in levels_read:
-            if level != leaf and level in self.pscs:
-                self.pscs[level].insert(vaddr)
-
-    def _start_walk(self):
-        """``StartWalk`` event: allocate an outstanding walk whose
-        completion (walk_latency_ops µops later) fills both TLB levels
-        and sets the leaf accessed bit."""
-        if isinstance(self._op, PrefetchUop):
-            return  # prefetch walks resolve via PrefetchWalk
-        self._outstanding.setdefault(
-            self._vpn, self.tick + self.config.walk_latency_ops
-        )
-        if len(self._outstanding) > self.config.mshr_entries:
-            oldest = min(self._outstanding, key=self._outstanding.get)
-            self._fill(oldest)
-            del self._outstanding[oldest]
-
-    def _resolve_prefetch(self):
-        """``PrefetchWalk`` event: fill on success, abort silently when
-        the target's accessed bit is unset (the Section 7.1 behaviour)."""
-        if isinstance(self._op, PrefetchUop):
-            vpn = self._op.target_vpn
-        elif self._triggered is not None:
-            vpn = self._triggered
-        else:
-            vpn = self._vpn
-        if not self.page_table.is_accessed(vpn):
-            return
-        self._fill(vpn)
-
-    def _complete_due_walks(self):
-        if not self._outstanding:
-            return
-        due = [vpn for vpn, at in self._outstanding.items() if at <= self.tick]
-        for vpn in due:
-            self._fill(vpn)
-            del self._outstanding[vpn]
-
-    def _fill(self, vpn):
-        self.page_table.set_accessed(vpn)
-        self.l1_tlb.insert(vpn, self.page_size)
-        self.stlb.insert(vpn, self.page_size)
 
     def __repr__(self):
         return "MMUOracle(%r, page_size=%s, tick=%d)" % (
             self.config,
             self.page_size,
-            self.tick,
+            self.mmu.tick,
         )

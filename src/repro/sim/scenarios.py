@@ -129,18 +129,33 @@ def trace_observation(model, oracle, workload, n_uops, n_intervals=20,
     """Simulate one run the event-driven way: execute the µDD over a
     workload's µop stream with a stateful (device) oracle, collecting
     per-interval deltas. This is the path real address traces take
-    (:class:`repro.workloads.trace.TraceWorkload` is a workload)."""
+    (:class:`repro.workloads.trace.TraceWorkload` is a workload).
+
+    As in :func:`simulate_observation`, the samples are ``n_intervals``
+    intervals of ``n_uops // n_intervals`` executed µops each (injected
+    ones included), and the µops after them count in the totals only.
+    A workload that runs out before the last interval is full raises
+    :class:`~repro.errors.SimulationError`."""
     from repro.models.dataset import Observation
 
     mudd = as_mudd(model, name=name)
     if n_intervals < 2:
         raise SimulationError("need at least 2 intervals per observation")
-    per_interval = max(1, n_uops // n_intervals)
+    per_interval = n_uops // n_intervals
+    if per_interval <= 0:
+        raise SimulationError(
+            "%d µops cannot fill %d intervals" % (n_uops, n_intervals)
+        )
     executor = MuDDExecutor(mudd)
     intervals = list(
         executor.run_intervals(oracle, workload.ops(n_uops), per_interval)
     )
-    samples = collect_interval_samples(executor.counters, intervals)
+    if executor.n_uops < n_intervals * per_interval:
+        raise SimulationError(
+            "the workload ran out after %d µops; %d intervals of %d need %d"
+            % (executor.n_uops, n_intervals, per_interval, n_intervals * per_interval)
+        )
+    samples = collect_interval_samples(executor.counters, intervals[:n_intervals])
     return Observation(
         name or "trace:%s" % mudd.name,
         "sim",

@@ -236,8 +236,8 @@ def _walk(mudd, counters):
 def test_four_byte_fields_match_the_walk():
     # 2**16 COUNTER nodes, one past the 2-byte field limit (the m4
     # variants, ~1,061 nodes, use 2-byte fields and the DSL models
-    # 1-byte ones). A single 65,536-node path would cost the walk
-    # O(n^2) list copies, so the nodes are spread over 64 branches.
+    # 1-byte ones), spread over 64 branches; the next test walks one
+    # long path.
     mudd = _wide_mudd(64, 1024)
     assert sum(node.kind == COUNTER for node in mudd.nodes.values()) == 2**16
     counters, rows, multiplicities = signature_matrix(mudd, with_multiplicity=True)
@@ -250,7 +250,8 @@ def test_four_byte_fields_match_the_walk():
 
 def test_four_byte_fields_hold_counts_past_two_bytes():
     # One chain of 70,000 COUNTER nodes behind a switch: the counts on
-    # the long path need more than two bytes.
+    # the long path need more than two bytes. The walk, linear in path
+    # length, must find the same two signatures.
     mudd = MuDD("chain")
     start, end = mudd.add_node(START), mudd.add_node(END)
     switch = mudd.add_node(DECISION, "P")
@@ -268,3 +269,4 @@ def test_four_byte_fields_hold_counts_past_two_bytes():
     # The walk pops the last branch first.
     assert rows.tolist() == [[60000, 10000, 0], [0, 0, 0]]
     assert multiplicities == [1, 1]
+    assert (list(map(tuple, rows.tolist())), multiplicities) == _walk(mudd, counters)

@@ -368,6 +368,12 @@ class TestConfig:
         features = MMUConfig.textbook().feature_set()
         assert not any(features.values())
 
+    def test_for_features_rejects_unknown_features(self):
+        # "TLBPf" is a misspelt "TlbPf": it must not build an MMU
+        # (or an MMUOracle) without the prefetcher.
+        with pytest.raises(ConfigurationError, match="'TLBPf'"):
+            MMUConfig.for_features({"TLBPf", "Merging"})
+
     def test_invalid_geometry(self):
         with pytest.raises(ConfigurationError):
             MMUConfig(stlb_entries=0)

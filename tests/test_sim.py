@@ -179,6 +179,41 @@ class TestMMUOracle:
         refs = sum(totals["walk_ref.%s" % level] for level in ("l1", "l2", "l3", "mem"))
         assert refs == 1000 + totals["load.pde$_miss"]
 
+    def test_trace_observation_keeps_equal_intervals(self):
+        """As in simulate_observation, the samples are n_intervals
+        intervals of n_uops // n_intervals µops; the remainder counts in
+        the totals only."""
+        mudd = load_bundled_model("walk_refs_4k")
+        workload = RandomAccessWorkload(4 * 1024 * 1024, seed=3)
+        for n_uops, n_intervals in ((1000, 3), (1003, 5)):
+            observation = trace_observation(
+                mudd, MMUOracle.for_features(set()), workload, n_uops, n_intervals=n_intervals
+            )
+            samples = observation.samples
+            assert samples.n_samples == n_intervals
+            # walk_refs_4k makes one walker load per µop, plus one per
+            # PDE-cache miss.
+            truth = dict(zip(samples.counters, samples.truth.T))
+            refs = sum(truth["walk_ref.%s" % level] for level in ("l1", "l2", "l3", "mem"))
+            per_interval = refs - truth["load.pde$_miss"]
+            assert per_interval.tolist() == [n_uops // n_intervals] * n_intervals
+            executor = MuDDExecutor(mudd)
+            executor.run(MMUOracle.for_features(set()), workload.ops(n_uops))
+            assert observation.point() == executor.snapshot()
+
+    def test_trace_observation_needs_full_intervals(self):
+        workload = RandomAccessWorkload(4 * 1024 * 1024, seed=3)
+        with pytest.raises(SimulationError, match="1 µops cannot fill 5 intervals"):
+            trace_observation(
+                "walk_refs_4k", MMUOracle.for_features(set()), workload, 1, n_intervals=5
+            )
+        # A 450-access trace cannot fill five 200-µop intervals.
+        trace = TraceWorkload(format_trace(workload.ops(450)).splitlines())
+        with pytest.raises(SimulationError, match="ran out after 450 µops"):
+            trace_observation(
+                "walk_refs_4k", MMUOracle.for_features(set()), trace, 1000, n_intervals=5
+            )
+
 
 class TestBatch:
     def test_distribution_matches_signature_matrix(self):

@@ -8,7 +8,10 @@ The pipeline mirrors the paper's four steps exactly:
    orthogonal complement of the signatures' span (e.g.
    ``load.stlb_hit == load.stlb_hit_4k + load.stlb_hit_2m``).
 3. **Interior-signature removal**: signatures expressible as non-negative
-   combinations of the others are dropped via LP membership tests.
+   combinations of the others are dropped. An exact screen first drops
+   every signature that is the sum or the midpoint of two others; one
+   LP membership test per remaining signature drops the rest
+   (:meth:`repro.geometry.Cone.irredundant_generators`).
 4. **Conic hull**: facet inequalities are computed exactly — for us, as
    extreme rays of the dual cone via the double description method
    (equivalent to the paper's convex hull of ``{0} ∪ signatures``).
@@ -18,14 +21,16 @@ exponentially with counter count (the paper's Figure 9b), which is why
 feasibility testing never calls this code.
 """
 
+import numpy as np
+
 from repro.errors import AnalysisError
 from repro.geometry import Cone, EQUALITY, INEQUALITY
 from repro.obs.trace import get_tracer
 
-# Generator counts at or below this skip the LP interior-removal screen:
-# the per-LP fixed cost exceeds what double description saves on inputs
-# this small. Purely a performance knob — the deduced constraints are
-# identical either way.
+# Generator counts at or below this skip interior removal: its fixed
+# cost exceeds what double description saves on inputs this small.
+# Purely a performance knob — the deduced constraints are identical
+# either way.
 _REMOVAL_THRESHOLD = 16
 
 
@@ -93,10 +98,18 @@ class ModelConstraint:
 
     @classmethod
     def from_dict(cls, data):
+        """The constraint :meth:`to_dict` wrote. Raises
+        :class:`AnalysisError` on a kind other than ``"eq"`` or
+        ``"ge"``, or a normal that is not a list of ints."""
         from repro.geometry.halfspace import ConeConstraint
 
-        kind = EQUALITY if data["kind"] == "eq" else INEQUALITY
-        return cls(ConeConstraint(data["normal"], kind), data["counters"])
+        kind, normal = data["kind"], data["normal"]
+        if kind not in ("eq", "ge"):
+            raise AnalysisError("unknown constraint kind %r" % (kind,))
+        if type(normal) is not list or not all(type(v) is int for v in normal):
+            raise AnalysisError("constraint normal must be a list of ints")
+        kind = EQUALITY if kind == "eq" else INEQUALITY
+        return cls(ConeConstraint(normal, kind), data["counters"])
 
     def __eq__(self, other):
         if not isinstance(other, ModelConstraint):
@@ -165,18 +178,20 @@ def deduce_constraints(signatures, counters, remove_interior=True, lp_backend="s
     counters:
         Counter names, one per signature component.
     remove_interior:
-        Apply the LP-based interior-signature removal step before facet
-        enumeration (step 3). Disabling it changes performance only; the
-        resulting constraint set is identical. Small generator sets skip
-        the LP screen automatically — per-LP fixed costs dominate there
-        and the double description method handles a handful of interior
-        generators at no measurable cost.
+        Apply interior-signature removal before facet enumeration (step
+        3): the exact sum/midpoint screen, then one LP membership test
+        per signature it leaves. Disabling it changes performance only;
+        the resulting constraint set is identical. Sets of at most
+        ``_REMOVAL_THRESHOLD`` (16) generators skip the step — its fixed
+        costs dominate there and the double description method handles
+        a handful of interior generators at no measurable cost.
     lp_backend:
         Backend for the interior-removal LPs. The default float backend
         is fast; exactness is restored afterwards by verifying every
-        original signature against the deduced facets (exact rational
-        dot products) and recomputing with any wrongly-pruned signature
-        restored. The facet enumeration itself is always exact.
+        original signature against the deduced facets (one exact integer
+        matrix product) and recomputing with any wrongly-pruned
+        signature restored. The screen and the facet enumeration are
+        always exact.
 
     Returns
     -------
@@ -189,8 +204,7 @@ def deduce_constraints(signatures, counters, remove_interior=True, lp_backend="s
     ) as span:
         full_cone = Cone(signatures, ambient_dim=len(counters))
         if remove_interior and len(full_cone.generators) > _REMOVAL_THRESHOLD:
-            with tracer.span("cone.interior_removal"):
-                kept = full_cone.irredundant_generators(backend=lp_backend)
+            kept = full_cone.irredundant_generators(backend=lp_backend)
             facets = _facets_with_verification(full_cone, kept, len(counters))
         else:
             facets = full_cone.facet_constraints()
@@ -208,14 +222,28 @@ def _facets_with_verification(full_cone, kept, ambient_dim):
     """Facets of ``cone(kept)``, exact-verified against every original
     generator; wrongly pruned generators are restored and the hull is
     recomputed until the H-representation covers all of them."""
+    generators = full_cone.generators
     kept = list(kept)
     while True:
         facets = Cone(kept, ambient_dim=ambient_dim).facet_constraints()
-        offenders = [
-            generator
-            for generator in full_cone.generators
-            if not all(facet.is_satisfied_by(generator) for facet in facets)
-        ]
+        offenders = _uncovered(facets, generators)
         if not offenders:
             return facets
-        kept.extend(offenders)
+        kept.extend(generators[i] for i in offenders)
+
+
+def _uncovered(facets, generators):
+    """Indices, ascending, of the ``generators`` (int vectors) that
+    violate one of ``facets``, from one exact matrix product: int64
+    when no dot product can overflow it, Python ints otherwise."""
+    if not facets:
+        return []
+    normals = [facet.normal for facet in facets]
+    largest = max(abs(v) for normal in normals for v in normal) * max(
+        abs(v) for generator in generators for v in generator
+    )
+    dtype = np.int64 if largest * len(normals[0]) < 2**63 else object
+    values = np.array(normals, dtype=dtype) @ np.array(generators, dtype=dtype).T
+    equality = np.array([facet.kind == EQUALITY for facet in facets])[:, None]
+    violated = np.where(equality, values != 0, values < 0)
+    return np.flatnonzero(violated.any(axis=0)).tolist()

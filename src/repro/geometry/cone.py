@@ -24,11 +24,14 @@ path). Exact membership is certified
 (:func:`repro.lp.membership.certified_membership`: HiGHS answers, integer
 arithmetic proves the answer, the rational simplex is the fallback). On
 the ``"scipy"`` backend membership LPs bypass the modelling layer
-entirely via a cached float matrix and HiGHS model — the win that makes
-the interior-removal step of constraint deduction cheap.
+entirely via a cached float matrix and HiGHS model. Interior removal
+runs those LPs only on the generators an exact sum/midpoint screen
+(:func:`_sums_and_midpoints`) cannot already show to be interior.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from repro.errors import GeometryError, LPError
 from repro.geometry.double_description import extreme_rays
@@ -43,6 +46,20 @@ from repro.linalg import (
     rref_fast,
     solve,
 )
+from repro.obs.trace import get_tracer
+
+# Seed of the sum/midpoint screen's hash weights. Fixed, so the screen
+# does the same work on every run; the weights decide only which pairs
+# reach the exact check, never what the screen returns.
+_SCREEN_SEED = 0x5C12EE7
+
+# Largest entry the screen accepts: ``2*g`` and ``h + k`` stay in int64.
+_SCREEN_MAX = (2**63 - 1) // 2
+
+# Generator pairs hashed per block: the block's 8-byte hash sums take
+# 128 KiB. Larger blocks were no faster on 3,449 generators and left
+# §7.1's process 0.8 MiB larger at its peak.
+_SCREEN_PAIRS = 1 << 14
 
 
 def coordinates_in_basis(basis, vector):
@@ -78,6 +95,77 @@ def coordinates_in_basis_many(basis, vectors):
             coords[pivot_col] = reduced[row_index][dim + offset]
         results.append(coords)
     return results
+
+
+def _screen_weights(n_cols):
+    """The screen's hash weights: ``n_cols`` fixed pseudo-random uint64s."""
+    return np.random.PCG64(_SCREEN_SEED).random_raw(n_cols)
+
+
+def _sums_and_midpoints(generators):
+    """Indices, ascending, of the generators ``g`` with ``c*g == h + k``
+    for two other generators ``h`` and ``k`` and ``c`` in ``{1, 2}``.
+
+    Such a ``g`` is a positive combination of two cone members that are
+    not parallel to it (:class:`Cone` generators are gcd-reduced and
+    distinct), so in a pointed cone it is not an extreme ray, and all of
+    them can be removed at once without changing the cone. The screen
+    therefore returns nothing unless every entry is non-negative (a cone
+    of non-negative generators is pointed) and at most
+    :data:`_SCREEN_MAX`.
+
+    Candidates come from a hash that is linear mod 2^64, ``hash(h) +
+    hash(k) == hash(h + k)``. Each pair's hash sum is looked up, a
+    block of pairs at a time, in a bitmap of the top bits of every
+    ``hash(g)`` and ``2*hash(g)``, then in the sorted array of those
+    targets. Every hit is checked with exact integer equality, so the
+    hash decides only how many generators are found, never which.
+    """
+    n_gens = len(generators)
+    if n_gens < 3:
+        return []
+    try:
+        rows = np.array(generators, dtype=np.int64)
+    except OverflowError:
+        return []
+    if rows.min() < 0 or rows.max() > _SCREEN_MAX:
+        return []
+    hashes = rows.view(np.uint64) @ _screen_weights(rows.shape[1])
+    # Target t stands for generator t % n_gens times 1 + t // n_gens.
+    targets = np.concatenate([hashes, hashes * np.uint64(2)])
+    order = np.argsort(targets)
+    targets = targets[order]
+    bits = min(18, n_gens.bit_length() + 6)
+    shift = np.uint64(64 - bits)
+    bitmap = np.zeros(1 << bits, dtype=bool)
+    bitmap[targets >> shift] = True
+    flagged = np.zeros(n_gens, dtype=bool)
+    step = max(1, _SCREEN_PAIRS // n_gens)
+    scratch = np.empty(step * n_gens, dtype=np.uint64)
+    for start in range(0, n_gens - 1, step):
+        # Pairs (h, k): h in [start, stop), k in [start + 1, n_gens).
+        stop = min(start + step, n_gens - 1)
+        block = scratch[: (stop - start) * (n_gens - start - 1)]
+        block = block.reshape(stop - start, n_gens - start - 1)
+        np.add(hashes[start:stop, None], hashes[None, start + 1:], out=block)
+        np.right_shift(block, shift, out=block)
+        row, col = np.nonzero(bitmap[block])
+        upper = col >= row  # k > h: each pair once, never h with itself
+        h, k = start + row[upper], start + 1 + col[upper]
+        found = hashes[h] + hashes[k]
+        low = np.searchsorted(targets, found, "left")
+        counts = np.searchsorted(targets, found, "right") - low
+        if not counts.any():
+            continue
+        hit = np.repeat(np.arange(len(found)), counts)
+        slot = low[hit] + np.arange(len(hit)) - np.repeat(np.cumsum(counts) - counts, counts)
+        target = order[slot]
+        g = target % n_gens
+        exact = (
+            rows[h[hit]] + rows[k[hit]] == (1 + target // n_gens)[:, None] * rows[g]
+        ).all(axis=1)
+        flagged[g[exact]] = True
+    return np.flatnonzero(flagged).tolist()
 
 
 def _membership(status):
@@ -231,8 +319,6 @@ class Cone:
     # -- membership ------------------------------------------------------
     def _generator_array(self):
         """Cached ``N x P`` float matrix of generators (scipy fast path)."""
-        import numpy as np
-
         if self._scipy_matrix is None:
             self._scipy_matrix = np.array(self.generators, dtype=float).T
         return self._scipy_matrix
@@ -303,7 +389,16 @@ class Cone:
 
     def irredundant_generators(self, backend="exact"):
         """Generators with cone-interior members removed (Section 6,
-        step 3 of the constraint-deduction pipeline).
+        step 3 of the constraint-deduction pipeline), in their order.
+
+        First every generator that is the sum or the midpoint of two
+        others is dropped (:func:`_sums_and_midpoints`, an exact screen
+        that only runs on a cone of non-negative generators). Then one
+        membership LP per remaining generator, in order, drops each that
+        lies in the cone of the generators still kept. On such a cone
+        both steps drop only generators that are not extreme rays, so
+        with exact LPs the screen changes how many LPs run, not the
+        result: the cone's extreme generators, in order.
 
         ``backend="scipy"`` prunes with float LPs — much faster, but a
         borderline generator may be misclassified. Callers that need an
@@ -314,27 +409,44 @@ class Cone:
 
         Membership LPs are issued directly against the kept-generator
         matrix (no intermediate ``Cone`` rebuilds). On the ``"scipy"``
-        backend one persistent HiGHS model serves the whole O(P^2) loop:
+        backend one persistent HiGHS model serves the whole loop:
         testing "candidate in cone(kept - candidate)" is the same matrix
-        with the candidate's column pinned to zero, and removed
-        generators simply stay pinned.
+        with the candidate's column pinned to zero, and screened or
+        removed generators simply stay pinned until the loop ends.
+
+        Runs in a ``cone.interior_removal`` span with the attributes
+        ``generators``, ``screened`` (dropped by the screen) and
+        ``lp_tests`` (membership LPs run).
         """
         from repro.lp import highs_fast
 
-        if backend == "scipy" and len(self.generators) > 1:
-            model = self._feasibility_model()
+        generators = self.generators
+        with get_tracer().span(
+            "cone.interior_removal", generators=len(generators)
+        ) as span:
+            screened = _sums_and_midpoints(generators)
+            dropped = set(screened)
+            survivors = [i for i in range(len(generators)) if i not in dropped]
+            lp_tests = 0
+            model = None
+            if backend == "scipy" and len(generators) > 1:
+                model = self._feasibility_model()
             if model is not None:
-                kept_flags = [True] * len(self.generators)
-                n_kept = len(self.generators)
+                kept_flags = [True] * len(generators)
+                n_kept = len(survivors)
                 # The model is shared with contains(), possibly across
                 # threads: pin, solve and restore as one locked step.
                 with model.lock:
-                    for i, candidate in enumerate(self.generators):
+                    for i in screened:
+                        kept_flags[i] = False
+                        model.exclude_column(i)
+                    for i in survivors:
                         if n_kept <= 1:
                             break
                         model.exclude_column(i)
-                        rhs = [float(v) for v in candidate]
+                        rhs = [float(v) for v in generators[i]]
                         status, _ = model.solve(rhs, solution=False)
+                        lp_tests += 1
                         if status == highs_fast.OPTIMAL:
                             kept_flags[i] = False  # redundant: stays pinned
                             n_kept -= 1
@@ -343,33 +455,30 @@ class Cone:
                     for i, keep in enumerate(kept_flags):
                         if not keep:
                             model.include_column(i)
-                return [
-                    list(g)
-                    for g, keep in zip(self.generators, kept_flags)
-                    if keep
-                ]
-        kept = list(self.generators)
-        index = 0
-        while index < len(kept):
-            candidate = kept[index]
-            rest = kept[:index] + kept[index + 1 :]
-            if not rest:
-                break
-            if backend == "scipy":
-                import numpy as np
-
-                member = _membership(highs_fast.linprog_feasibility(
-                    np.array(rest, dtype=float).T, candidate
-                )[0])
+                kept = [list(g) for g, keep in zip(generators, kept_flags) if keep]
             else:
-                from repro.lp.membership import certified_membership
+                kept = [generators[i] for i in survivors]
+                index = 0
+                while index < len(kept):
+                    candidate = kept[index]
+                    rest = kept[:index] + kept[index + 1 :]
+                    if not rest:
+                        break
+                    lp_tests += 1
+                    if backend == "scipy":
+                        member = _membership(highs_fast.linprog_feasibility(
+                            np.array(rest, dtype=float).T, candidate
+                        )[0])
+                    else:
+                        from repro.lp.membership import certified_membership
 
-                member = certified_membership(rest, candidate)[0]
-            if member:
-                kept.pop(index)
-            else:
-                index += 1
-        return kept
+                        member = certified_membership(rest, candidate)[0]
+                    if member:
+                        kept.pop(index)
+                    else:
+                        index += 1
+            span.set(screened=len(screened), lp_tests=lp_tests)
+            return kept
 
     def __repr__(self):
         return "Cone(%d generators in R^%d, dim %d)" % (

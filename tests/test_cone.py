@@ -127,6 +127,60 @@ class TestConstraintDeduction:
             c.render() for c in without_removal
         )
 
+    def test_verification_restores_a_wrongly_pruned_generator(self, monkeypatch):
+        """A float membership answer forced to OPTIMAL for one extreme
+        m0 generator makes interior removal drop it; the facet
+        verification restores it and the constraints are the reference's."""
+        from repro.geometry import Cone
+        from repro.lp import highs_fast
+        from repro.models import M_SERIES, build_model_cone
+
+        model = build_model_cone(M_SERIES["m0"])
+        reference = deduce_constraints(model.signatures, model.counters)
+        extreme = Cone(model.signatures, len(model.counters)).irredundant_generators(
+            backend="scipy"
+        )[0]
+        solve = highs_fast.FeasibilityModel.solve
+
+        def forced(self, rhs, solution=True):
+            if [float(v) for v in rhs] == [float(v) for v in extreme]:
+                return highs_fast.OPTIMAL, None
+            return solve(self, rhs, solution)
+
+        hulls = []
+        facet_constraints = Cone.facet_constraints
+
+        def recorded(self):
+            hulls.append(extreme in self.generators)
+            return facet_constraints(self)
+
+        monkeypatch.setattr(highs_fast.FeasibilityModel, "solve", forced)
+        monkeypatch.setattr(Cone, "facet_constraints", recorded)
+        deduced = deduce_constraints(model.signatures, model.counters)
+        assert hulls == [False, True]  # pruned, then restored
+        assert sorted(deduced.render()) == sorted(reference.render())
+
+    @pytest.mark.parametrize("kind, normal", [
+        ("le", [1, -1]),
+        ("ge", [1.5, -1]),
+        ("ge", ["1", -1]),
+        ("eq", [True, -1]),
+        ("ge", (1, -1)),
+        (["ge"], [1, -1]),
+    ])
+    def test_constraint_decoding_refuses_foreign_records(self, kind, normal):
+        from repro.cone.constraints import ModelConstraint
+
+        record = {"normal": normal, "kind": kind, "counters": ["a", "b"]}
+        with pytest.raises(AnalysisError):
+            ModelConstraint.from_dict(record)
+
+    def test_constraint_decoding_round_trips(self, initial_cone):
+        from repro.cone.constraints import ModelConstraint
+
+        for constraint in initial_cone.constraints():
+            assert ModelConstraint.from_dict(constraint.to_dict()) == constraint
+
     def test_constraints_cached(self, initial_cone):
         assert initial_cone.constraints() is initial_cone.constraints()
 

@@ -145,10 +145,14 @@ class TestDiskTier:
     @pytest.mark.parametrize("damage", [
         "missing_field", "string_signature", "negative_count",
         "wrong_length_signature", "malformed_constraint",
+        "le_constraint", "fractional_normal", "bool_normal",
     ])
     def test_foreign_json_payload_recomputes(self, cache_dir, mudd, damage):
         """A valid envelope around a payload that does not decode to a
-        cone is a miss: discarded, rebuilt once, and replaced."""
+        cone is a miss: discarded, rebuilt once, and replaced. A
+        constraint of an unknown kind, or with a normal entry that is
+        not an int, is never read as another constraint: the cone is
+        deduced again."""
         cache = ModelConeCache(disk=cache_dir)
         cone = cache.get(mudd)
         cone.constraints()
@@ -163,6 +167,13 @@ class TestDiskTier:
             payload["signatures"][0][0] = -1
         elif damage == "wrong_length_signature":
             payload["signatures"][0].append(0)
+        elif damage == "le_constraint":
+            payload["constraints"][-1]["kind"] = "le"
+        elif damage == "fractional_normal":
+            payload["constraints"][-1]["normal"][0] = 1.5
+        elif damage == "bool_normal":
+            normal = payload["constraints"][-1]["normal"]
+            normal[normal.index(1)] = True
         else:
             payload["constraints"][0]["normal"] = [1]
         disk.store.put("cone", _entry(mudd), payload)
@@ -172,6 +183,8 @@ class TestDiskTier:
         assert fresh.disk.hits == 0
         assert fresh.builds == 1
         assert rebuilt.signatures == cone.signatures
+        assert not rebuilt.has_deduced_constraints()
+        assert rebuilt.constraints().render() == cone.constraints().render()
         # The rebuild replaced the foreign entry with a good one.
         later = ModelConeCache(disk=DiskConeCache(cache_dir))
         assert later.get(mudd).signatures == cone.signatures
